@@ -20,6 +20,7 @@ module Topology = Blitz_graph.Topology
 module Cost_model = Blitz_cost.Cost_model
 module Counters = Blitz_core.Counters
 module B = Blitz_baselines
+module Dpccp = Blitz_dpccp.Dpccp
 
 let run () =
   let n = Bench_config.n in
@@ -76,13 +77,13 @@ let run () =
       in
       let catalog, graph = Workload.problem spec in
       let dpsize = B.Dpsize.optimize Cost_model.naive catalog graph in
-      let dpccp = B.Dpccp.optimize Cost_model.naive catalog graph in
+      let dpccp = Dpccp.optimize Cost_model.naive catalog graph in
       rows :=
         [|
           Topology.name topology;
           string_of_int (Counters.exact_loop_iters n);
           string_of_int dpsize.B.Dpsize.pairs_considered;
-          string_of_int dpccp.B.Dpccp.ccp_pairs;
+          string_of_int dpccp.Dpccp.ccp_pairs;
         |]
         :: !rows)
     Topology.all_paper;

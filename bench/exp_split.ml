@@ -34,9 +34,9 @@ module Json = Blitz_util.Json
 let wall () = Unix.gettimeofday ()
 
 (* Gates (full mode).  Fast mode keeps both gates armed — CI runs it —
-   but relaxes the speedup ratio: at n <= 12 the whole table fits in L2
-   and the reference kernel's extra column walks are cheap, so the
-   interleaving win is structurally smaller there. *)
+   but relaxes the speedup ratio: at n <= 12 the whole table fits in L2,
+   so both kernels run compute-bound and the specialization win is
+   structurally smaller there. *)
 let speedup_gate = 1.25
 let speedup_gate_fast = 1.05
 
@@ -90,8 +90,6 @@ let check_bit_identity ~label tblR tblN ctrR ctrN =
     then
       fail "%s: cost diverged at subset %d: %.17g vs %.17g" label s tblR.Dp_table.cost.(s)
         tblN.Dp_table.cost.(s);
-    if Int64.bits_of_float tblR.Dp_table.pair.(2 * s) <> Int64.bits_of_float tblR.Dp_table.cost.(s)
-    then fail "%s: pair column out of sync with cost at subset %d" label s;
     if tblR.Dp_table.best_lhs.(s) <> tblN.Dp_table.best_lhs.(s) then
       fail "%s: best_lhs diverged at subset %d: %d vs %d" label s tblR.Dp_table.best_lhs.(s)
         tblN.Dp_table.best_lhs.(s)

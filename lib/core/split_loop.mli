@@ -12,11 +12,9 @@
     {!find_best_split} dispatches once per subset on
     {!Blitz_cost.Cost_model.kind} to a monomorphized loop body: the
     three paper models run with their [kappa''] arithmetic inlined (no
-    closure call, no float boxing — the loop allocates nothing), and the
-    kernels that need operand cardinalities read the interleaved
-    [(cost, card)] pair column of {!Dp_table} so each iteration touches
-    one cache line per operand.  [Opaque] models fall back to a
-    closure-calling body.  All kernels produce bit-identical costs,
+    closure call, no float boxing — the loop allocates nothing), each
+    reading the struct-of-arrays columns of {!Dp_table} directly.
+    [Opaque] models fall back to a closure-calling body.  All kernels produce bit-identical costs,
     [best_lhs] links and counters to the pre-refactor {!Reference}
     kernel, which is kept for differential tests and benchmarks.
 
@@ -35,12 +33,11 @@ val find_best_split :
 
 val variant : Blitz_cost.Cost_model.t -> string
 (** Which monomorphized loop body {!find_best_split} runs for the model:
-    ["zero"], ["sum-aux"], ["dnl-paired"] or ["general"].  Diagnostic
+    ["zero"], ["sum-aux"], ["dnl"] or ["general"].  Diagnostic
     (e.g. the [blitz explain] kernel summary line). *)
 
-(** The pre-refactor split kernel, retained verbatim (modulo mirroring
-    its cost store into the pair column) as the baseline for
-    differential tests and for the [bench split] speedup gate.  Same
+(** The pre-refactor split kernel, retained verbatim as the baseline
+    for differential tests and for the [bench split] speedup gate.  Same
     contract as the top-level {!find_best_split}. *)
 module Reference : sig
   val find_best_split :

@@ -40,12 +40,12 @@ let invariant s1 s2 =
         enumeration-order invariant violated"
        s1 s2)
 
-(* Shared pair fold, parameterized over the cost/card/aux accessors of the
-   two backends.  The candidate expression reproduces the split loop's
-   float associativity exactly — [(cl +. cr) +. kappa''] then [+. kappa'] —
-   so that on product-free optima the stored minima are bitwise equal to
-   blitzsplit's (comparing after the [+. kp] shift preserves the minimum:
-   [kp] is constant per subset and [+.] is monotone). *)
+(* One pair fold per backend, each spelled out over its own columns.  The
+   candidate expression reproduces the split loop's float associativity
+   exactly — [(cl +. cr) +. kappa''] then [+. kappa'] — so that on
+   product-free optima the stored minima are bitwise equal to blitzsplit's
+   (comparing after the [+. kp] shift preserves the minimum: [kp] is
+   constant per subset and [+.] is monotone). *)
 
 (* ---- dense backend: the pooled blitzsplit table ---- *)
 
@@ -53,8 +53,7 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
   let cost = tbl.Dp_table.cost
   and card = tbl.Dp_table.card
   and aux = tbl.Dp_table.aux
-  and best_lhs = tbl.Dp_table.best_lhs
-  and pair = tbl.Dp_table.pair in
+  and best_lhs = tbl.Dp_table.best_lhs in
   let k_prime = model.Cost_model.k_prime
   and k_dprime = model.Cost_model.k_dprime
   and dprime_is_zero = model.Cost_model.dprime_is_zero in
@@ -89,7 +88,6 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
       if t1 < Array.unsafe_get cost s then begin
         ctr.Counters.improvements <- ctr.Counters.improvements + 1;
         Array.unsafe_set cost s t1;
-        Array.unsafe_set pair (2 * s) t1;
         Array.unsafe_set best_lhs s s1
       end;
       (* The enumeration emits unordered pairs; an asymmetric kappa''
@@ -104,7 +102,6 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
         if t2 < Array.unsafe_get cost s then begin
           ctr.Counters.improvements <- ctr.Counters.improvements + 1;
           Array.unsafe_set cost s t2;
-          Array.unsafe_set pair (2 * s) t2;
           Array.unsafe_set best_lhs s s2
         end
       end;

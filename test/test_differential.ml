@@ -11,6 +11,7 @@ module Threshold = Blitz_core.Threshold
 module Equivalence = Blitz_graph.Equivalence
 module Hypergraph = Blitz_graph.Hypergraph
 module B = Blitz_baselines
+module Dpccp = Blitz_dpccp.Dpccp
 
 let agree a b = Blitz_util.Float_more.approx_equal ~rel:1e-6 a b
 
@@ -52,7 +53,7 @@ let prop_restriction_ordering =
       let slack = 1.0 +. 1e-9 in
       let bushy = Blitzsplit.best_cost (Blitzsplit.optimize_join p.model p.catalog p.graph) in
       let np = (B.Dpsize.optimize ~cartesian:false p.model p.catalog p.graph).B.Dpsize.cost in
-      let ccp = (B.Dpccp.optimize p.model p.catalog p.graph).B.Dpccp.cost in
+      let ccp = (Dpccp.optimize p.model p.catalog p.graph).Dpccp.cost in
       let ld = (B.Leftdeep.optimize ~policy:B.Leftdeep.Allowed p.model p.catalog p.graph).B.Leftdeep.cost in
       let ld_def =
         (B.Leftdeep.optimize ~policy:B.Leftdeep.Deferred p.model p.catalog p.graph).B.Leftdeep.cost

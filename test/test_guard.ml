@@ -31,9 +31,9 @@ let test_budget_basics () =
   Alcotest.check_raises "non-positive ceiling"
     (Invalid_argument "Budget.create: memory ceiling 0 B is not positive") (fun () ->
       ignore (Budget.create ~max_table_bytes:0 ()));
-  Alcotest.(check int) "table footprint n=10" (56 * 1024) (Budget.table_bytes ~n:10 ());
+  Alcotest.(check int) "table footprint n=10" (40 * 1024) (Budget.table_bytes ~n:10 ());
   Alcotest.(check int) "footprint saturates" max_int (Budget.table_bytes ~n:60 ());
-  let b = Budget.create ~max_table_bytes:(56 * 1024) () in
+  let b = Budget.create ~max_table_bytes:(40 * 1024) () in
   Alcotest.(check bool) "n=10 fits exactly" true (Budget.admits_table b ~n:10);
   Alcotest.(check bool) "n=11 does not" false (Budget.admits_table b ~n:11);
   let u = Budget.unlimited () in
@@ -136,25 +136,37 @@ let test_deadline_degrades_to_greedy () =
       (Plan.cost Cost_model.kdnl catalog graph o.Guard.plan)
 
 let test_memory_cap_skips_to_hybrid () =
-  let catalog, graph = topology_problem ~n:12 Topology.Chain in
-  (* Ceiling below the 40 * 2^12 B table: both DP tiers must skip
-     BEFORE allocating, with the footprint in the provenance. *)
-  let budget = Budget.create ~max_table_bytes:(Budget.table_bytes ~n:12 () - 1) () in
-  match Guard.optimize ~budget Cost_model.kdnl catalog graph with
-  | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
-  | Ok o ->
-    Alcotest.(check string) "hybrid wins" "hybrid"
-      (Degrade.tier_name o.Guard.provenance.Degrade.winner);
-    List.iter
-      (fun a ->
-        match (a.Degrade.tier, a.Degrade.status) with
-        | (Degrade.Exact | Degrade.Thresholded), Degrade.Skipped (Degrade.Memory { needed_bytes; _ })
-          ->
-          Alcotest.(check int) "needed bytes recorded" (Budget.table_bytes ~n:12 ()) needed_bytes
-        | (Degrade.Exact | Degrade.Thresholded), _ -> Alcotest.fail "DP tier was not memory-skipped"
-        | _ -> ())
-      o.Guard.provenance.Degrade.attempts;
-    Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan)
+  (* Ceiling below the 40 * 2^n B table: every DP tier (exact,
+     thresholded, dpccp) must skip BEFORE allocating, with the footprint
+     in the provenance.  The second input is an n=13 table (327,680 B)
+     under a 0.25 MiB tenant ceiling ([table-mb=0.25]). *)
+  List.iter
+    (fun (n, max_table_bytes) ->
+      let catalog, graph = topology_problem ~n Topology.Chain in
+      let budget = Budget.create ~max_table_bytes () in
+      match Guard.optimize ~budget Cost_model.kdnl catalog graph with
+      | Error e -> Alcotest.failf "n=%d: guard failed: %s" n (Guard.error_message e)
+      | Ok o ->
+        Alcotest.(check string) "hybrid wins" "hybrid"
+          (Degrade.tier_name o.Guard.provenance.Degrade.winner);
+        let skipped =
+          List.filter_map
+            (fun a ->
+              match (a.Degrade.tier, a.Degrade.status) with
+              | ( (Degrade.Exact | Degrade.Thresholded | Degrade.Dpccp),
+                  Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ) ->
+                Alcotest.(check int) "needed bytes recorded" (Budget.table_bytes ~n ()) needed_bytes;
+                Some a.Degrade.tier
+              | (Degrade.Exact | Degrade.Thresholded | Degrade.Dpccp), _ ->
+                Alcotest.failf "n=%d: DP tier was not memory-skipped" n
+              | _ -> None)
+            o.Guard.provenance.Degrade.attempts
+        in
+        Alcotest.(check int) (Printf.sprintf "n=%d: three DP tiers skipped" n) 3
+          (List.length skipped);
+        Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan))
+    [ (12, Budget.table_bytes ~n:12 () - 1); (13, int_of_float (0.25 *. 1024. *. 1024.)) ];
+  Alcotest.(check int) "n=13 join table" 327_680 (Budget.table_bytes ~n:13 ())
 
 let test_unbudgeted_matches_exact () =
   (* With no budget the guard is exactly blitzsplit, asserted across

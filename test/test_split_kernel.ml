@@ -1,7 +1,7 @@
 (* Differential bit-identity for the monomorphized split kernels.
 
-   The split-loop refactor (specialized per-model loop bodies, operand
-   reads through the interleaved pair column) claims EXACT equivalence
+   The split-loop refactor (specialized per-model loop bodies over the
+   struct-of-arrays columns) claims EXACT equivalence
    with the pre-refactor kernel retained as [Split_loop.Reference]: not
    approximately-equal costs but identical IEEE bit patterns, identical
    best_lhs links, and identical execution counters — the float
@@ -85,11 +85,9 @@ let check_against ~what (reft : Dp_table.t) (refc : Counters.t) (tbl : Dp_table.
     if reft.Dp_table.best_lhs.(s) <> tbl.Dp_table.best_lhs.(s) then
       fail "best_lhs diverged at subset %d: %d vs %d" s reft.Dp_table.best_lhs.(s)
         tbl.Dp_table.best_lhs.(s);
-    (* The interleaved pair rows must mirror the columns exactly. *)
-    if bits tbl.Dp_table.pair.(2 * s) <> bits tbl.Dp_table.cost.(s) then
-      fail "pair cost out of sync at subset %d" s;
-    if bits tbl.Dp_table.pair.((2 * s) + 1) <> bits tbl.Dp_table.card.(s) then
-      fail "pair card out of sync at subset %d" s
+    if bits reft.Dp_table.card.(s) <> bits tbl.Dp_table.card.(s) then
+      fail "card bits diverged at subset %d: %.17g vs %.17g" s reft.Dp_table.card.(s)
+        tbl.Dp_table.card.(s)
   done;
   let counter name a b = if a <> b then fail "counter %s diverged: %d vs %d" name a b in
   counter "subsets" refc.Counters.subsets ctr.Counters.subsets;
@@ -134,7 +132,7 @@ let prop_kernels_bit_identical =
 let test_variant_names () =
   Alcotest.(check string) "naive" "zero" (Split_loop.variant Cost_model.naive);
   Alcotest.(check string) "sort-merge" "sum-aux" (Split_loop.variant Cost_model.sort_merge);
-  Alcotest.(check string) "dnl" "dnl-paired" (Split_loop.variant Cost_model.kdnl);
+  Alcotest.(check string) "dnl" "dnl" (Split_loop.variant Cost_model.kdnl);
   Alcotest.(check string) "min-of" "general"
     (Split_loop.variant (Cost_model.min_of Cost_model.naive Cost_model.kdnl))
 
