@@ -71,8 +71,9 @@ let () =
         let (_, cost), stats =
           Hybrid.optimize ~rng ~window:10 ~kicks:20 model catalog graph
         in
-        Printf.printf "  windows re-optimized: %d (improved %d), kicks: %d\n"
-          stats.Hybrid.windows_reoptimized stats.Hybrid.windows_improved stats.Hybrid.kicks;
+        Printf.printf "  windows re-optimized: %d (improved %d, %d from memo), kicks: %d\n"
+          stats.Hybrid.windows_reoptimized stats.Hybrid.windows_improved
+          stats.Hybrid.windows_memoized stats.Hybrid.kicks;
         cost)
   in
   Printf.printf "\nhybrid improves on plain local search by %.2fx on this query\n"

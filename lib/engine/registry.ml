@@ -203,8 +203,9 @@ let run_hybrid ctx p =
   in
   basic
     ~note:
-      (Printf.sprintf "%d windows re-optimized, %d improved, %d kicks"
-         stats.Hybrid.windows_reoptimized stats.Hybrid.windows_improved stats.Hybrid.kicks)
+      (Printf.sprintf "%d windows re-optimized, %d improved, %d kicks, %d from memo"
+         stats.Hybrid.windows_reoptimized stats.Hybrid.windows_improved stats.Hybrid.kicks
+         stats.Hybrid.windows_memoized)
     ~plan:(Some plan) ~cost ()
 
 (* ---- baselines ---- *)

@@ -13,6 +13,7 @@ module Dp_table = Blitz_core.Dp_table
 type stats = {
   windows_reoptimized : int;
   windows_improved : int;
+  windows_memoized : int;
   kicks : int;
   plans_evaluated : int;
 }
@@ -64,20 +65,21 @@ let decompose ~window subtree =
   in
   List.map (fun u -> u.tree) (go [ wrap subtree ] 1)
 
-(* Exactly re-arrange the units of a subtree with blitzsplit over a
-   composite problem: each unit becomes a pseudo-relation whose
-   cardinality is the unit's estimated output cardinality, and the
-   selectivity between two units is the span product of the real
-   predicates between their leaf sets.  By Equations (7)/(8) the
-   composite estimates agree with the leaf-level ones on every union of
-   units, so the arrangement found is optimal among all arrangements of
-   these units.  Unit-internal structure (and cost) is untouched. *)
-let reoptimize_units ?arena model catalog graph units =
-  let k = List.length units in
+(* Exactly re-arrange units, given by their relation sets, with
+   blitzsplit over a composite problem: each unit becomes a
+   pseudo-relation whose cardinality is the unit's estimated output
+   cardinality, and the selectivity between two units is the span
+   product of the real predicates between their leaf sets.  By Equations
+   (7)/(8) the composite estimates agree with the leaf-level ones on
+   every union of units, so the arrangement found is optimal among all
+   arrangements of these units.  The result is a plan over
+   pseudo-relation indices; it depends on [sets] alone, which is what
+   makes it memoizable. *)
+let reoptimize_units ?arena model catalog graph sets =
+  let k = List.length sets in
   if k < 2 || k > Dp_table.max_relations then None
   else begin
-    let unit_arr = Array.of_list units in
-    let sets = Array.map Plan.relations unit_arr in
+    let sets = Array.of_list sets in
     let cards = Array.map (fun s -> Join_graph.join_cardinality catalog graph s) sets in
     if not (Array.for_all (fun c -> Float.is_finite c && c > 0.0) cards) then None
     else begin
@@ -92,22 +94,27 @@ let reoptimize_units ?arena model catalog graph units =
         done
       done;
       let composite_graph = Join_graph.of_edges ~n:k !edges in
-      let result = Blitzsplit.optimize_join ?arena model composite_catalog composite_graph in
-      match Blitzsplit.best_plan result with
-      | None -> None
-      | Some arrangement ->
-        (* Substitute each pseudo-relation by its unit subtree. *)
-        let rec subst = function
-          | Plan.Leaf i -> unit_arr.(i)
-          | Plan.Join (l, r) -> Plan.Join (subst l, subst r)
-          | Plan.Multiway { inputs; _ } ->
-            (* Cover weights name pseudo-relations here; drop them and
-               keep the structure (re-costing re-solves covers). *)
-            Plan.multiway (List.map subst inputs)
-        in
-        Some (subst arrangement)
+      Blitzsplit.best_plan (Blitzsplit.optimize_join ?arena model composite_catalog composite_graph)
     end
   end
+
+(* Substitute each pseudo-relation of an arrangement by its unit
+   subtree.  Unit-internal structure (and cost) is untouched. *)
+let subst_units units arrangement =
+  let unit_arr = Array.of_list units in
+  let rec subst = function
+    | Plan.Leaf i -> unit_arr.(i)
+    | Plan.Join (l, r) -> Plan.Join (subst l, subst r)
+    | Plan.Multiway { inputs; _ } ->
+      (* Cover weights name pseudo-relations here; drop them and
+         keep the structure (re-costing re-solves covers). *)
+      Plan.multiway (List.map subst inputs)
+  in
+  subst arrangement
+
+(* Entries the window memo of one [optimize] call may hold before it is
+   emptied; a reset only costs recomputation. *)
+let memo_capacity = 4096
 
 let internal_paths plan =
   let acc = ref [] in
@@ -143,6 +150,7 @@ let optimize ~rng ?arena ?window ?kicks ?(kick_strength = 3) ?start
   in
   let kick_budget = match kicks with Some k -> max 0 k | None -> 4 * n in
   let evaluations = ref 0 and reopts = ref 0 and improved = ref 0 and kicks_done = ref 0 in
+  let memoized = ref 0 in
   let measure =
     if n <= Dp_table.max_relations then begin
       let eval = Eval.make model catalog graph in
@@ -165,15 +173,35 @@ let optimize ~rng ?arena ?window ?kicks ?(kick_strength = 3) ?start
   if n <= 2 then begin
     let cost = measure start_plan in
     ( (start_plan, cost),
-      { windows_reoptimized = 0; windows_improved = 0; kicks = 0; plans_evaluated = !evaluations } )
+      {
+        windows_reoptimized = 0;
+        windows_improved = 0;
+        windows_memoized = 0;
+        kicks = 0;
+        plans_evaluated = !evaluations;
+      } )
   end
   else begin
+    (* Window DPs keyed by the ordered unit relation sets: the key fixes
+       the composite problem, so a hit is the arrangement a fresh DP
+       would return. *)
+    let memo = Hashtbl.create 256 in
     let reoptimize_window plan path =
       incr reopts;
-      let subtree = subtree_at plan path in
-      match reoptimize_units ?arena model catalog graph (decompose ~window subtree) with
-      | None -> None
-      | Some subtree' -> Some (replace_at plan path subtree')
+      let units = decompose ~window (subtree_at plan path) in
+      let key = List.map Plan.relations units in
+      let arrangement =
+        match Hashtbl.find_opt memo key with
+        | Some arrangement ->
+          incr memoized;
+          arrangement
+        | None ->
+          let arrangement = reoptimize_units ?arena model catalog graph key in
+          if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
+          Hashtbl.add memo key arrangement;
+          arrangement
+      in
+      Option.map (fun a -> replace_at plan path (subst_units units a)) arrangement
     in
     (* Sweep every internal node (root included) until no composite
        re-arrangement improves the plan.  The interrupt probe is polled
@@ -224,6 +252,7 @@ let optimize ~rng ?arena ?window ?kicks ?(kick_strength = 3) ?start
       {
         windows_reoptimized = !reopts;
         windows_improved = !improved;
+        windows_memoized = !memoized;
         kicks = !kicks_done;
         plans_evaluated = !evaluations;
       } )

@@ -30,6 +30,9 @@ module Rng = Blitz_util.Rng
 type stats = {
   windows_reoptimized : int;  (** Exact DP re-optimizations performed. *)
   windows_improved : int;  (** Of those, how many lowered the cost. *)
+  windows_memoized : int;
+      (** Of those, how many were answered from the window memo without a
+          DP; never more than [windows_reoptimized]. *)
   kicks : int;  (** Perturbation phases. *)
   plans_evaluated : int;
 }
@@ -46,19 +49,39 @@ val optimize :
   Catalog.t ->
   Join_graph.t ->
   (Plan.t * float) * stats
-(** [optimize ~rng model catalog graph] runs chained descent.  [arena]
-    pools the DP tables of the window re-optimizations (one small table
-    per window size instead of a fresh allocation per window — the inner
-    blitzsplit runs thousands of times on big plans); results are
-    bit-identical either way.  [window]
-    (default [min 10 n]) bounds exact-reoptimization size;
+(** [optimize ~rng model catalog graph] runs chained descent.
+
+    {b Window memo.}  After every kick and every improving window the
+    descent sweeps all internal nodes again, so most windows present a
+    composite problem this call has already solved.  Each call therefore
+    memoizes its window DPs in a hash table keyed by the ordered list of
+    unit relation sets; the value is the optimal arrangement over
+    pseudo-relation indices (or its absence), and the unit subtrees are
+    substituted into it on hits and misses alike.  The key fixes the
+    composite catalog (cardinalities of the sets), the composite graph
+    (span products between them) and the pseudo-relation numbering (list
+    order), so a hit returns exactly the plan a fresh blitzsplit run
+    would; the random generator is consumed only by kicks, so the search
+    trajectory — and with it the returned plan, its cost and every
+    counter but [windows_memoized] — is bit-identical to running without
+    the memo.  The memo lives for one call only and is emptied whenever
+    it reaches 4,096 entries, which bounds its memory at large [n]; an
+    emptied memo only costs recomputation.
+
+    [arena] pools the DP tables of the window re-optimizations that miss
+    the memo (one small table per window size instead of a fresh
+    allocation per window); results are bit-identical either way.
+    [window] (default [min 10 n]) bounds exact-reoptimization size;
     [kicks] (default [4 * n]) bounds perturbation phases;
     [kick_strength] (default 3) is the number of random moves per kick;
     [start] defaults to the greedy plan.  [interrupt] is polled between
     window re-optimizations and between kicks; when it returns [true]
     the search stops gracefully and the chain's best plan so far is
     returned (never an exception — an anytime algorithm has a valid
-    answer from the first measurement on).  Unlike blitzsplit itself,
-    this works for arbitrarily many relations; cost is evaluated with
-    the full reference costing (no [2^n] table) when [n] exceeds the
-    DP-table cap. *)
+    answer from the first measurement on).  Memo hits are cheap, so more
+    windows fit before [interrupt] fires than without the memo: an
+    interrupted run may return a different plan than it would without
+    the memo (the same trajectory, stopped later).  Unlike blitzsplit
+    itself, this works for arbitrarily many relations; cost is evaluated
+    with the full reference costing (no [2^n] table) when [n] exceeds
+    the DP-table cap. *)
