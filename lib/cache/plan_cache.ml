@@ -87,11 +87,14 @@ type shard = {
   mutable band_hits : int;
 }
 
-type t = { shards_arr : shard array; mask : int; max_bytes : int; warm_slack : float }
+type t = { shards_arr : shard array; mask : int; max_bytes : int }
 
 let shards t = Array.length t.shards_arr
 let max_bytes t = t.max_bytes
-let warm_slack t = t.warm_slack
+
+(* Shape-tier seed = best known cost x this slack; correctness-neutral
+   because §6.4's forced rescue pass still finds the optimum. *)
+let warm_slack = 2.0
 
 (* Bound on the heuristic shape table so an adversarial stream of
    distinct shapes cannot grow it without limit; dropping it loses only
@@ -110,10 +113,9 @@ let next_pow2 x =
   done;
   !r
 
-let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) ?(warm_slack = 2.0) () =
+let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) () =
   if shards <= 0 then invalid_arg "Plan_cache.create: shards must be positive";
   if max_bytes <= 0 then invalid_arg "Plan_cache.create: max_bytes must be positive";
-  if not (warm_slack >= 1.0) then invalid_arg "Plan_cache.create: warm_slack must be >= 1";
   let count = next_pow2 shards in
   let budget = max 1 (max_bytes / count) in
   let mk _ =
@@ -134,7 +136,7 @@ let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) ?(warm_slack = 2.0) () 
       band_hits = 0;
     }
   in
-  { shards_arr = Array.init count mk; mask = count - 1; max_bytes; warm_slack }
+  { shards_arr = Array.init count mk; mask = count - 1; max_bytes }
 
 let string_hash str = String.fold_left (fun h c -> (h * 31) + Char.code c) 5381 str
 
@@ -327,7 +329,7 @@ let shape_threshold t scratch =
   | None -> None
   | Some c ->
       Obs.Metrics.incr m_shape_hits;
-      Some (c *. t.warm_slack)
+      Some (c *. warm_slack)
 
 let shape_seed t scratch =
   let shape_key = Fingerprint.shape_hash scratch in

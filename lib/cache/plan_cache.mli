@@ -39,12 +39,10 @@ module Plan = Blitz_plan.Plan
 
 type t
 
-val create : ?shards:int -> ?max_bytes:int -> ?warm_slack:float -> unit -> t
+val create : ?shards:int -> ?max_bytes:int -> unit -> t
 (** [shards] (default 8) is rounded up to a power of two; [max_bytes]
     (default 64 MiB) is the whole-cache budget, split evenly across
-    shards; [warm_slack] (default 2.0) scales a shape-tier cost into a
-    threshold seed.  Raises [Invalid_argument] on non-positive values
-    or [warm_slack < 1]. *)
+    shards.  Raises [Invalid_argument] on non-positive values. *)
 
 val shards : t -> int
 (** The shard count actually in use (the power of two {!create} rounded
@@ -53,10 +51,6 @@ val shards : t -> int
 val max_bytes : t -> int
 (** The configured whole-cache byte budget (compare {!resident_bytes}
     for current occupancy). *)
-
-val warm_slack : t -> float
-(** The configured shape-tier threshold multiplier (see
-    {!shape_threshold}). *)
 
 type hit = {
   plan : Plan.t;  (** Rebased to the caller's relation numbering. *)
@@ -89,7 +83,7 @@ val store :
     must not store non-finite costs or non-optimal plans. *)
 
 val shape_threshold : t -> Fingerprint.scratch -> float option
-(** [Some (best_known_cost * warm_slack)] when a same-shaped problem
+(** [Some (best_known_cost * 2.0)] when a same-shaped problem
     has been stored before: a threshold seed for the Section 6.4
     driver.  Counts a shape hit. *)
 

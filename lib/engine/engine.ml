@@ -112,9 +112,11 @@ let record_outcome t (o : Registry.outcome) =
     Obs.Metrics.set g_arena_grows (float_of_int (Arena.grows t.arena))
   end
 
-(* ---- plan-cache participation ----
+(* ---- plan-cache policy ----
 
-   A session with a cache consults it for any optimizer whose registry
+   The only place a cache key is spelled, a hit filtered or an entry
+   stored; [run_entry] and the Guard driver both go through it.  A
+   session with a cache consults it for any optimizer whose registry
    entry promises exactness (a cached entry must mean the same thing no
    matter which query stored it), and only when the caller supplied no
    explicit threshold (an explicit threshold makes the outcome
@@ -122,36 +124,56 @@ let record_outcome t (o : Registry.outcome) =
    ["thresholded"] may still warm-start from the shape tier before
    running cold, and a completed cold optimum is stored. *)
 
-let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest m
+let fingerprint t m (p : Registry.problem) =
+  let digest = if m == t.model then t.digest else Fingerprint.model_digest m in
+  Fingerprint.compute t.scratch ~model_digest:digest p.Registry.catalog p.Registry.graph
 
-(* A tenant tag partitions the cache exactly the way "+mw" partitions
-   the plan spaces: the tag is folded into the entry key, so two tenants
-   sharing one cache (and one engine session pool) can never be served
-   each other's plans.  "@" cannot appear in a registry name, so tagged
-   and untagged keys cannot collide. *)
-let tagged ?cache_tag optimizer =
-  match cache_tag with None -> optimizer | Some tag -> optimizer ^ "@" ^ tag
+(* "<optimizer>[@tag][+mw]".  The tenant tag partitions a shared cache
+   so tenants are never served each other's plans; "@" cannot appear in
+   a registry name, so tagged and untagged keys cannot collide.  "+mw"
+   keeps the two plan spaces apart: a multiway optimum must never be
+   replayed to a caller that cannot execute n-ary joins, and a binary
+   optimum is not the hybrid space's optimum.  It is added only for
+   entries that advertise multiway planning, so e.g. greedy lookups do
+   not fragment across two modes they cannot distinguish. *)
+let cache_key ?cache_tag ~multiway (entry : Registry.entry) =
+  let name = entry.Registry.name in
+  let base = match cache_tag with None -> name | Some tag -> name ^ "@" ^ tag in
+  if multiway && entry.Registry.caps.Registry.multiway then base ^ "+mw" else base
 
-let cache_find ?model ?cache_tag t ~optimizer (p : Registry.problem) =
+(* Looks up the problem last fingerprinted into the session scratch.  A
+   hit carrying an n-ary plan is refused to a multiway=false caller:
+   defense in depth behind the key. *)
+let find t c ~multiway key =
+  match Plan_cache.find c t.scratch ~optimizer:key with
+  | Some h when multiway || not (Plan.has_multiway h.Plan_cache.plan) -> Some h
+  | Some _ | None -> None
+
+let store t c key (o : Registry.outcome) =
+  match o.Registry.plan with
+  | Some plan when Float.is_finite o.Registry.cost ->
+      Plan_cache.store c t.scratch ~optimizer:key ~plan ~cost:o.Registry.cost
+        ~passes:o.Registry.passes ~final_threshold:o.Registry.final_threshold
+  | _ -> ()
+
+let cache_lookup ?model ?(multiway = false) ?cache_tag t ~optimizers p =
   match t.cache with
   | None -> None
   | Some c ->
-      let m = Option.value ~default:t.model model in
+      let try_key name =
+        let key = cache_key ?cache_tag ~multiway (Registry.find_exn name) in
+        Option.map (fun h -> (name, h)) (find t c ~multiway key)
+      in
       Obs.Metrics.time m_cache_lookup (fun () ->
-          Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
-            p.Registry.graph;
-          Plan_cache.find c t.scratch ~optimizer:(tagged ?cache_tag optimizer))
+          fingerprint t (Option.value ~default:t.model model) p;
+          List.find_map try_key optimizers)
 
-let cache_store ?model ?cache_tag t ~optimizer (p : Registry.problem) (o : Registry.outcome) =
-  match (t.cache, o.Registry.plan) with
-  | Some c, Some plan when Float.is_finite o.Registry.cost ->
-      let m = Option.value ~default:t.model model in
-      Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
-        p.Registry.graph;
-      Plan_cache.store c t.scratch ~optimizer:(tagged ?cache_tag optimizer) ~plan
-        ~cost:o.Registry.cost ~passes:o.Registry.passes
-        ~final_threshold:o.Registry.final_threshold
-  | _ -> ()
+let cache_record ?model ?(multiway = false) ?cache_tag t ~optimizer p o =
+  match t.cache with
+  | None -> ()
+  | Some c ->
+      fingerprint t (Option.value ~default:t.model model) p;
+      store t c (cache_key ?cache_tag ~multiway (Registry.find_exn optimizer)) o
 
 let hit_outcome ctr (h : Plan_cache.hit) =
   {
@@ -176,38 +198,23 @@ let append_note extra (o : Registry.outcome) =
    with, letting batches share one ctx across queries. *)
 let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(multiway = false)
     ?cache_tag ?cold_ctx ~ctr problem =
-  (* Multiway planning is real only for entries that advertise it; the
-     flag reaches the cache key only then, so e.g. greedy lookups do not
-     fragment across the two modes they cannot distinguish. *)
   let mw = multiway && entry.Registry.caps.Registry.multiway in
   let cold () =
     match cold_ctx with
     | Some c -> c
     | None -> ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr t
   in
-  let cacheable =
-    t.cache <> None && entry.Registry.caps.Registry.cacheable && Option.is_none threshold
-  in
-  if not cacheable then entry.Registry.optimize (cold ()) problem
-  else
-    let c = Option.get t.cache in
-    (* "+mw" keeps the two plan spaces apart in the cache: a multiway
-       optimum must never be replayed to a caller that cannot execute
-       n-ary joins, and a binary optimum stored by a multiway=false run
-       is not the hybrid space's optimum. *)
-    let cache_key =
-      let base = tagged ?cache_tag optimizer in
-      if mw then base ^ "+mw" else base
-    in
+  match t.cache with
+  | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold -> (
+    let key = cache_key ?cache_tag ~multiway entry in
     let hit =
       Obs.Metrics.time m_cache_lookup (fun () ->
-          Fingerprint.compute t.scratch ~model_digest:t.digest problem.Registry.catalog
-            problem.Registry.graph;
-          Plan_cache.find c t.scratch ~optimizer:cache_key)
+          fingerprint t t.model problem;
+          find t c ~multiway:mw key)
     in
     match hit with
-    | Some h when mw || not (Plan.has_multiway h.Plan_cache.plan) -> hit_outcome ctr h
-    | Some _ (* defense in depth: never serve an n-ary plan without mw *) | None ->
+    | Some h -> hit_outcome ctr h
+    | None ->
         (* Warm-start ladder for the thresholded driver.  Best seed: a
            banded-ensemble plan for this shape and selectivity regime,
            re-costed under the {e current} catalog — a genuine upper
@@ -254,12 +261,9 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
                 (ctx ?interrupt ~threshold:w ~multiway:mw ~counters:ctr t)
                 problem
         in
-        (match o.Registry.plan with
-        | Some plan when Float.is_finite o.Registry.cost ->
-            Plan_cache.store c t.scratch ~optimizer:cache_key ~plan ~cost:o.Registry.cost
-              ~passes:o.Registry.passes ~final_threshold:o.Registry.final_threshold
-        | _ -> ());
-        (match warm with Some (_, note) -> append_note note o | None -> o)
+        store t c key o;
+        (match warm with Some (_, note) -> append_note note o | None -> o))
+  | _ -> entry.Registry.optimize (cold ()) problem
 
 let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";

@@ -10,18 +10,18 @@
     fresh-allocation runs for every optimizer and domain count (tested
     property).
 
-    A session may also carry a {!Blitz_cache.Plan_cache}: any optimizer
-    whose registry entry promises exactness then consults it before
-    running (skipping the whole DP on a hit, with the cached plan
-    rebased to the caller's relation numbering), stores completed
-    optima, and — for the ["thresholded"] driver — seeds its first pass
-    from the cache's shape tier on an exact miss.  The cache is shared
-    by whatever sessions were created with it (it is domain-safe);
-    omitting it at {!create} is the per-session opt-out.  Each session
-    owns one preallocated fingerprint workspace, so cache participation
-    adds no per-query allocation on the hit path.  Caching is bypassed
-    whenever the caller passes an explicit [threshold] (such outcomes
-    are caller-dependent) and for inexact optimizers.
+    A session may also carry a {!Blitz_cache.Plan_cache}.  This module
+    is the one cache policy path: it alone spells keys
+    ([<optimizer>[@tag][+mw]]), refuses n-ary hits to multiway=false
+    callers and stores optima, for {!optimize} and for the Guard
+    ({!cache_lookup}/{!cache_record}).  Exact optimizers consult the
+    cache before running (a hit skips the DP, its plan rebased to the
+    caller's numbering) and store completed optima; ["thresholded"]
+    warm-starts from the shape tier on an exact miss.  Explicit
+    thresholds and inexact optimizers bypass the cache.  A cache may be
+    shared across sessions (it is domain-safe); omitting it at
+    {!create} opts out.  One preallocated fingerprint workspace per
+    session keeps the hit path allocation-free.
 
     When [Blitz_obs.Metrics] is enabled, sessions publish per-query
     latency and plan-cost histograms ([blitz_engine_optimize_seconds],
@@ -77,10 +77,9 @@ val optimize :
     never serve each other's optima (and a hit carrying a
     [Plan.Multiway] node is additionally refused for multiway=false
     callers).  [cache_tag] partitions the plan cache the same way:
-    lookups and stores run under [<optimizer>"@"<tag>] (plus ["+mw"]
-    when both apply), so callers serving mutually-untrusting tenants
-    from one shared cache can guarantee one tenant's plans are never
-    replayed to another ([Blitz_serve] keys by tenant id).  The
+    keys become [<optimizer>"@"<tag>] (then ["+mw"]), so one tenant's
+    plans are never replayed to another ([Blitz_serve] passes the
+    tenant id).  The
     session's counters are reset first, so the outcome's counters are
     per-query; the outcome's [table] aliases the arena buffer and is
     only valid until the next call.  May raise
@@ -118,34 +117,34 @@ val counters : t -> Counters.t
 
 val cache : t -> Plan_cache.t option
 
-val cache_find :
+val cache_lookup :
   ?model:Cost_model.t ->
+  ?multiway:bool ->
   ?cache_tag:string ->
   t ->
-  optimizer:string ->
+  optimizers:string list ->
   Registry.problem ->
-  Plan_cache.hit option
-(** Consult the session's cache directly (no optimizer run): fingerprint
-    the problem into the session scratch and look it up under the given
-    optimizer name.  [None] when the session has no cache or on a miss.
-    [model] defaults to the session model; pass it when dispatching
-    under a different cost model (the Guard driver's case).
-    [cache_tag] decorates the key as in {!optimize}.  Exposed for
-    budget-holding drivers that sequence registry entries themselves. *)
+  (string * Plan_cache.hit) option
+(** Consult the session's cache without running anything: fingerprint
+    the problem once, then try each optimizer's key in order and return
+    the first hit with its optimizer name.  Keys and the n-ary refusal
+    are exactly {!optimize}'s for the same [multiway] and [cache_tag].
+    [None] without a cache or on a miss.  [model] defaults to the
+    session model; pass it when dispatching under a different one. *)
 
-val cache_store :
+val cache_record :
   ?model:Cost_model.t ->
+  ?multiway:bool ->
   ?cache_tag:string ->
   t ->
   optimizer:string ->
   Registry.problem ->
   Registry.outcome ->
   unit
-(** Record a completed outcome for the problem (recomputing the
-    fingerprint, so it need not be the last one looked up).  No-ops
-    without a cache, on plan-less outcomes, and on non-finite costs.
-    Callers must only store outcomes that are true optima for the named
-    optimizer. *)
+(** Store a completed outcome under {!optimize}'s key for [optimizer],
+    re-fingerprinting the problem.  No-op without a cache, on plan-less
+    outcomes and on non-finite costs.  Callers must only store true
+    optima for the named optimizer. *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->
@@ -156,6 +155,7 @@ val ctx :
   ?multiway:bool ->
   t ->
   Registry.ctx
-(** The registry ctx {!optimize} uses, exposed so budget-holding
-    drivers (Guard/Degrade) can dispatch registry entries through the
-    session themselves. *)
+(** The registry ctx {!optimize} uses, exposed so callers that dispatch
+    registry entries themselves (the CLI's explicit-threshold path, the
+    throughput and observability benches) run them on the session's
+    arena and pool.  Such runs bypass the plan cache. *)

@@ -89,6 +89,10 @@ type outcome = {
   note : string option;  (** Method-specific diagnostics, one line. *)
 }
 
+val basic :
+  ?note:string -> ?counters:Counters.t -> plan:Plan.t option -> cost:float -> unit -> outcome
+(** A one-pass, unthresholded, table-free outcome. *)
+
 type caps = {
   max_n : int option;  (** Largest relation count the method accepts. *)
   tree_only : bool;  (** Requires an acyclic (tree) join graph. *)

@@ -34,51 +34,15 @@ let error_message = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 
-(* The guard participates in a session's plan cache only on the clean
-   path: sanitize-repaired statistics (the chaos suite's territory) are
-   a different query than the caller submitted, and a resilient driver
-   does not let a corrupted input stream populate — or be answered from
-   — the cache.  Hits and stores go per tier key ("exact" stays
-   bit-compatible with "exact", "thresholded" with "thresholded"). *)
+(* The guard decides only {e whether} a request may use the session's
+   plan cache: on the clean path.  Sanitize-repaired statistics (the
+   chaos suite's territory) are a different query than the caller
+   submitted, and a resilient driver does not let a corrupted input
+   stream populate — or be answered from — the cache.  Keys, the
+   multiway filter and fingerprinting are Engine's, shared with
+   [Engine.optimize], so a tier's entry is the same-named optimizer's. *)
 let cacheable_tiers = [ Degrade.Exact; Degrade.Thresholded ]
-
-let cache_lookup ~session ~repairs ?cache_tag model catalog graph =
-  match session with
-  | Some s when repairs = [] && Engine.cache s <> None ->
-    let problem = Blitz_engine.Registry.problem ~graph catalog in
-    let rec try_tiers = function
-      | [] -> None
-      | tier :: rest -> (
-        match
-          Engine.cache_find ~model ?cache_tag s ~optimizer:(Degrade.tier_name tier) problem
-        with
-        | Some hit -> Some (tier, hit)
-        | None -> try_tiers rest)
-    in
-    try_tiers cacheable_tiers
-  | _ -> None
-
-let cache_record ~session ~repairs ?cache_tag model catalog graph (plan : Plan.t)
-    (provenance : Degrade.provenance) =
-  match session with
-  | Some s
-    when repairs = []
-         && List.exists (fun t -> t = provenance.Degrade.winner) cacheable_tiers ->
-    let problem = Blitz_engine.Registry.problem ~graph catalog in
-    let outcome =
-      {
-        Blitz_engine.Registry.plan = Some plan;
-        cost = provenance.Degrade.winner_cost;
-        passes = 1;
-        final_threshold = infinity;
-        table = None;
-        counters = None;
-        note = None;
-      }
-    in
-    Engine.cache_store ~model ?cache_tag s
-      ~optimizer:(Degrade.tier_name provenance.Degrade.winner) problem outcome
-  | _ -> ()
+let cacheable_names = List.map Degrade.tier_name cacheable_tiers
 
 (* All entry points funnel here.  The budget is (re-)armed exactly once,
    so every tier of the cascade draws down the same allowance; the
@@ -98,8 +62,15 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
     | None when Sanitize.fabricated_stats repairs -> Some Degrade.fabricated_cascade
     | None -> None
   in
-  match cache_lookup ~session ~repairs ?cache_tag model catalog graph with
-  | Some (tier, hit) ->
+  let cache_session = if repairs = [] then session else None in
+  let problem = Blitz_engine.Registry.problem ~graph catalog in
+  let hit =
+    Option.bind cache_session (fun s ->
+        Engine.cache_lookup ~model ?multiway ?cache_tag s ~optimizers:cacheable_names problem)
+  in
+  match hit with
+  | Some (name, hit) ->
+    let tier = List.find (fun t -> Degrade.tier_name t = name) cacheable_tiers in
     let cost = hit.Blitz_engine.Engine.Plan_cache.cost in
     let provenance =
       {
@@ -142,7 +113,13 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         model catalog graph
     with
     | Ok (plan, provenance) ->
-      cache_record ~session ~repairs ?cache_tag model catalog graph plan provenance;
+      let winner = provenance.Degrade.winner in
+      (match cache_session with
+      | Some s when List.mem winner cacheable_tiers ->
+        Engine.cache_record ~model ?multiway ?cache_tag s ~optimizer:(Degrade.tier_name winner)
+          problem
+          (Blitz_engine.Registry.basic ~plan:(Some plan) ~cost:provenance.Degrade.winner_cost ())
+      | _ -> ());
       Ok
         {
           plan;

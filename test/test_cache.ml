@@ -339,7 +339,7 @@ let test_shape_threshold () =
   Plan_cache.store cache s ~optimizer:"thresholded" ~plan:(balanced_plan 6) ~cost:42.0 ~passes:1
     ~final_threshold:infinity;
   (* Same selectivity structure, different cardinalities: exact miss,
-     shape hit, seed = best cost x warm_slack. *)
+     shape hit, seed = best cost x the fixed 2.0 slack. *)
   let cards = Array.map (fun c -> c *. 1.03) (Catalog.cards base_catalog) in
   let s' = fingerprint ~model (Catalog.of_cards cards) (Some base_graph) in
   Alcotest.(check bool) "exact tier misses" true
@@ -347,7 +347,7 @@ let test_shape_threshold () =
   (match Plan_cache.shape_threshold cache s' with
   | Some seed ->
     Alcotest.(check bool) "seed = cost x slack" true
-      (same_float seed (42.0 *. Plan_cache.warm_slack cache))
+      (same_float seed (42.0 *. 2.0))
   | None -> Alcotest.fail "shape tier missed");
   Alcotest.(check int) "shape hit counted" 1 (Plan_cache.stats cache).Plan_cache.shape_hits
 
@@ -524,8 +524,9 @@ let test_sessions_without_cache_opt_out () =
   let model = Cost_model.kdnl in
   Engine.with_session ~model (fun s ->
       Alcotest.(check bool) "no cache attached" true (Engine.cache s = None);
-      Alcotest.(check bool) "cache_find is None" true
-        (Engine.cache_find s ~optimizer:"exact" (Registry.problem ~graph:base_graph base_catalog)
+      Alcotest.(check bool) "cache_lookup is None" true
+        (Engine.cache_lookup s ~optimizers:[ "exact" ]
+           (Registry.problem ~graph:base_graph base_catalog)
         = None))
 
 let suite =

@@ -16,6 +16,7 @@ module Registry = Blitz_engine.Registry
 module Plan_cache = Blitz_cache.Plan_cache
 module Fingerprint = Blitz_cache.Fingerprint
 module Workload = Blitz_workload.Workload
+module Guard = Blitz_guard.Guard
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -256,7 +257,30 @@ let test_cache_isolation () =
         (same_float mw.Registry.cost hit.Registry.cost);
       match hit.Registry.plan with
       | Some p -> Alcotest.(check bool) "hit plan is hybrid" true (Plan.has_multiway p)
-      | None -> Alcotest.fail "no hit plan")
+      | None -> Alcotest.fail "no hit plan");
+  (* The served path keys the same way: Guard.optimize on one session
+     and one tenant tag, in both orders, never hands one caller the
+     other plan space's entry. *)
+  List.iter
+    (fun first ->
+      let label what = Printf.sprintf "guard, multiway:%b first: %s" first what in
+      Engine.with_session ~model ~cache:(Plan_cache.create ()) (fun session ->
+          let guard multiway =
+            match Guard.optimize ~session ~multiway ~cache_tag:"acme" model catalog graph with
+            | Ok o -> o
+            | Error e -> Alcotest.fail (Guard.error_message e)
+          in
+          let a = guard first in
+          let b = guard (not first) in
+          Alcotest.(check bool) (label "second call not from cache") false b.Guard.from_cache;
+          Alcotest.(check bool) (label "second plan matches its flag") (not first)
+            (Plan.has_multiway b.Guard.plan);
+          let c = guard true in
+          let mw = if first then a else b in
+          Alcotest.(check bool) (label "multiway rerun hits") true c.Guard.from_cache;
+          Alcotest.(check bool) (label "hit cost bit-identical") true
+            (same_float mw.Guard.cost c.Guard.cost)))
+    [ true; false ]
 
 let test_incapable_optimizer_ignores_flag () =
   (* dpsize has no multiway capability: the flag neither changes its

@@ -186,11 +186,11 @@ let test_cache_tag_partitions () =
       in
       let _ = Engine.optimize ~cache_tag:"acme" s problem in
       Alcotest.(check bool) "tagged hit" true
-        (Engine.cache_find ~cache_tag:"acme" s ~optimizer:"exact" problem <> None);
+        (Engine.cache_lookup ~cache_tag:"acme" s ~optimizers:[ "exact" ] problem <> None);
       Alcotest.(check bool) "other tenant misses" true
-        (Engine.cache_find ~cache_tag:"beta" s ~optimizer:"exact" problem = None);
+        (Engine.cache_lookup ~cache_tag:"beta" s ~optimizers:[ "exact" ] problem = None);
       Alcotest.(check bool) "untagged misses" true
-        (Engine.cache_find s ~optimizer:"exact" problem = None))
+        (Engine.cache_lookup s ~optimizers:[ "exact" ] problem = None))
 
 (* ---- live server ---- *)
 
@@ -270,6 +270,27 @@ let test_tenant_cache_isolation () =
             (expect_string [ "result"; "plan" ] r1)
             (expect_string [ "result"; "plan" ] r3)))
 
+let test_multiway_plan_stays_out_of_binary_reply () =
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let explain ~id ~multiway =
+            rpc c
+              (Printf.sprintf
+                 {|{"blitz":1,"id":%d,"method":"explain","params":{"n":8,"topology":"clique","variability":0.5,"multiway":%b}}|}
+                 id multiway)
+          in
+          let nodes v =
+            match get_field [ "result"; "multiway_nodes" ] v with
+            | Some (Json.Int k) -> k
+            | _ -> Alcotest.fail "multiway_nodes missing"
+          in
+          let r1 = explain ~id:1 ~multiway:true in
+          Alcotest.(check bool) "multiway reply has n-ary nodes" true (nodes r1 > 0);
+          let r2 = explain ~id:2 ~multiway:false in
+          expect_bool "binary reply not from cache" [ "result"; "from_cache" ] r2 false;
+          Alcotest.(check int) "binary reply has no n-ary node" 0 (nodes r2)))
+
 let valid_tiers =
   [ "exact"; "thresholded"; "dpccp"; "hybrid"; "ikkbz"; "greedy"; "simpli-squared" ]
 
@@ -336,6 +357,8 @@ let suite =
     Alcotest.test_case "server: quota exhaustion is a typed error" `Quick
       test_quota_exhaustion_typed;
     Alcotest.test_case "server: tenant cache isolation" `Quick test_tenant_cache_isolation;
+    Alcotest.test_case "server: multiway plan stays out of a binary reply" `Quick
+      test_multiway_plan_stays_out_of_binary_reply;
     Alcotest.test_case "server: overload sheds with provenance" `Quick
       test_overload_sheds_with_provenance;
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
