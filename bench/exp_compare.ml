@@ -79,8 +79,11 @@ let run () =
           Blitz_util.Ascii_table.print
             ~header:[| "method"; "time (s)"; "cost / optimal"; "note" |]
             (Array.of_list rows);
-          Printf.printf "dpsize pairs considered: %d vs blitzsplit split-loop iterations: %d\n"
+          Printf.printf
+            "dpsize pairs considered: %d vs blitzsplit split-loop iterations: %d (each \
+             unordered split once; ordered: %d)\n"
             pairs
+            (Blitz_core.Counters.exact_loop_iters n / 2)
             (Blitz_core.Counters.exact_loop_iters n))
         [ Topology.Chain; Topology.Star; Topology.Clique ])
     ns

@@ -12,8 +12,13 @@
      best-of-R interleaved minima on both sides.
 
    Every cell also asserts bit-identity: costs (compared as IEEE bit
-   patterns), best_lhs links, extracted plans and all split-loop
-   counters must match Reference exactly.  A DP sweep in increasing
+   patterns), best_lhs links, extracted plans and the decision counters
+   must match Reference exactly; the symmetric kernels walk half the
+   split loop, so their loop_iters must be exactly half of Reference's
+   and their operand sums / kappa'' evaluations at most Reference's.
+   Both kernels' times are reported per Reference iteration (the
+   paper's ordered-split count), the one basis on which the two columns
+   and their ratio mean the same thing.  A DP sweep in increasing
    subset order is idempotent — every proper subset of s is numerically
    smaller than s, so each sweep sees exactly the table state the
    previous one wrote — which is what lets us re-run the kernel over a
@@ -33,12 +38,13 @@ module Json = Blitz_util.Json
 
 let wall () = Unix.gettimeofday ()
 
-(* Gates (full mode).  Fast mode keeps both gates armed — CI runs it —
-   but relaxes the speedup ratio: at n <= 12 the whole table fits in L2,
-   so both kernels run compute-bound and the specialization win is
-   structurally smaller there. *)
-let speedup_gate = 1.25
-let speedup_gate_fast = 1.05
+(* Gates.  Derived from two full runs on a 2-vCPU VM, where the gated
+   cell (clique/k0/n=15) read 2.04x and 2.05x: the half loop alone
+   accounts for ~2x, so the full gate sits 20% below the measured
+   minimum.  Fast mode (n=12, CI) read 2.05x; its gate keeps a wider
+   margin for unknown CI hardware. *)
+let speedup_gate = 1.6
+let speedup_gate_fast = 1.4
 
 let fill_properties tbl model graph =
   for s = 3 to Dp_table.size tbl - 1 do
@@ -68,6 +74,7 @@ type cell = {
   model : Cost_model.t;
   n : int;
   subsets : int;
+  ref_iters : int;
   iters : int;
   ref_ns : float;
   new_ns : float;
@@ -82,7 +89,7 @@ let prepared_table spec =
   fill_properties tbl spec.Workload.model graph;
   tbl
 
-let check_bit_identity ~label tblR tblN ctrR ctrN =
+let check_bit_identity ~label ~model tblR tblN ctrR ctrN =
   let fail fmt = Printf.ksprintf failwith ("split: " ^^ fmt) in
   for s = 1 to Dp_table.size tblR - 1 do
     if
@@ -98,10 +105,15 @@ let check_bit_identity ~label tblR tblN ctrR ctrN =
   if Dp_table.extract_plan tblR full <> Dp_table.extract_plan tblN full then
     fail "%s: extracted plans diverged" label;
   let check name a b = if a <> b then fail "%s: counter %s diverged: %d vs %d" label name a b in
+  let at_most name a b = if b > a then fail "%s: counter %s above Reference: %d > %d" label name b a in
   check "subsets" ctrR.Counters.subsets ctrN.Counters.subsets;
-  check "loop_iters" ctrR.Counters.loop_iters ctrN.Counters.loop_iters;
-  check "operand_sums" ctrR.Counters.operand_sums ctrN.Counters.operand_sums;
-  check "dprime_evals" ctrR.Counters.dprime_evals ctrN.Counters.dprime_evals;
+  (* Symmetric kernels visit each unordered split once: exactly half. *)
+  check "loop_iters (rule)"
+    (if Split_loop.symmetric model then ctrR.Counters.loop_iters / 2
+     else ctrR.Counters.loop_iters)
+    ctrN.Counters.loop_iters;
+  at_most "operand_sums" ctrR.Counters.operand_sums ctrN.Counters.operand_sums;
+  at_most "dprime_evals" ctrR.Counters.dprime_evals ctrN.Counters.dprime_evals;
   check "improvements" ctrR.Counters.improvements ctrN.Counters.improvements;
   check "threshold_skips" ctrR.Counters.threshold_skips ctrN.Counters.threshold_skips;
   check "infeasible" ctrR.Counters.infeasible ctrN.Counters.infeasible
@@ -115,8 +127,9 @@ let measure_cell ~rounds spec =
   let ctrR = Counters.create () and ctrN = Counters.create () in
   sweep Split_loop.Reference.find_best_split tblR model ctrR;
   sweep Split_loop.find_best_split tblN model ctrN;
-  check_bit_identity ~label tblR tblN ctrR ctrN;
-  let subsets = ctrN.Counters.subsets and iters = ctrN.Counters.loop_iters in
+  check_bit_identity ~label ~model tblR tblN ctrR ctrN;
+  let subsets = ctrN.Counters.subsets in
+  let ref_iters = ctrR.Counters.loop_iters and iters = ctrN.Counters.loop_iters in
   (* Allocation gate input: a warm sweep of the specialized kernel (the
      two sweeps above warmed both tables and the code paths). *)
   let scratch = Counters.create () in
@@ -136,12 +149,16 @@ let measure_cell ~rounds spec =
     sweep Split_loop.find_best_split tblN model scratch;
     new_best := Float.min !new_best (wall () -. t0)
   done;
-  let per_iter s = s *. 1e9 /. float_of_int iters in
+  (* Both sweeps are priced per Reference iteration (the paper's
+     3^n - 2^(n+1) + 1 ordered splits), so the two columns share one
+     basis and their ratio is the sweep-time ratio. *)
+  let per_iter s = s *. 1e9 /. float_of_int ref_iters in
   {
     topology = spec.Workload.topology;
     model;
     n;
     subsets;
+    ref_iters;
     iters;
     ref_ns = per_iter !ref_best;
     new_ns = per_iter !new_best;
@@ -182,7 +199,8 @@ let run () =
                   ("kernel", Json.String (Split_loop.variant model));
                   ("n", Json.Int n);
                   ("subsets", Json.Int cell.subsets);
-                  ("iters_per_sweep", Json.Int cell.iters);
+                  ("reference_iters_per_sweep", Json.Int cell.ref_iters);
+                  ("specialized_iters_per_sweep", Json.Int cell.iters);
                   ("rounds", Json.Int cell.rounds);
                   ("reference_ns_per_iter", Json.Float cell.ref_ns);
                   ("specialized_ns_per_iter", Json.Float cell.new_ns);
@@ -213,7 +231,9 @@ let run () =
       cells
   in
   Blitz_util.Ascii_table.print ~header (Array.of_list rows);
-  Printf.printf "\nbit-identity: every cell matched Reference (costs, best_lhs, plans, counters)\n";
+  Printf.printf
+    "\nbit-identity: every cell matched Reference (costs, best_lhs, plans, decision counters;\n\
+     loop_iters exactly halved by the symmetric kernels)\n";
   (* Zero-allocation gate: every paper-model cell, not just the gated
      one — the three kernels have different loop bodies and each must
      stay allocation-free. *)

@@ -1000,8 +1000,16 @@ let counters_cmd =
     let n = Catalog.n problem.catalog in
     Printf.printf "query: %s   model: %s\n\n" problem.label model.Cost_model.name;
     Format.printf "%a@." Counters.pp counters;
-    Printf.printf "\nanalytic bounds (Section 3.3): loop iters = %d, kappa'' in [%.0f, %.0f]\n"
-      (Counters.exact_loop_iters n)
+    (* Symmetric models visit each unordered split once: half the
+       paper's ordered count. *)
+    let iters =
+      if Blitz_core.Split_loop.symmetric model then
+        Printf.sprintf "%d (each unordered split once; ordered: %d)"
+          (Counters.exact_loop_iters n / 2) (Counters.exact_loop_iters n)
+      else string_of_int (Counters.exact_loop_iters n)
+    in
+    Printf.printf "\nanalytic bounds (Section 3.3): loop iters = %s, kappa'' in [%.0f, %.0f]\n"
+      iters
       (Counters.predicted_dprime_lower n)
       (Counters.predicted_dprime_upper n)
   in

@@ -76,8 +76,9 @@ type shard = {
   shapes : (int, float) Hashtbl.t;  (* shape hash -> best known cost *)
   bands : (int, (int * band_entry) list) Hashtbl.t;
       (* shape hash -> per-selectivity-band plan ensemble *)
-  budget : int;
-  mutable bytes : int;
+  budget : int;  (* exact entries + side tables *)
+  mutable bytes : int;  (* exact entries *)
+  mutable side_bytes : int;  (* shapes + bands *)
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
@@ -96,10 +97,13 @@ let max_bytes t = t.max_bytes
    because §6.4's forced rescue pass still finds the optimum. *)
 let warm_slack = 2.0
 
-(* Bound on the heuristic shape table so an adversarial stream of
-   distinct shapes cannot grow it without limit; dropping it loses only
-   warm-start seeds, never correctness. *)
-let max_shapes_per_shard = 4096
+(* The side tables (shapes, bands) may hold at most this fraction of a
+   shard's byte budget.  The shape hash includes selectivity bits, so a
+   stream of distinct queries adds a record per store; at the share the
+   shard empties both tables, as the hybrid window memo does at its
+   capacity.  Dropping them loses only warm-start seeds, never
+   correctness. *)
+let side_share = 4
 
 (* Ensemble width: distinct selectivity bands retained per shape.  "One
    Join Order Does Not Fit All" finds a handful of regimes per query
@@ -127,6 +131,7 @@ let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) () =
       bands = Hashtbl.create 64;
       budget;
       bytes = 0;
+      side_bytes = 0;
       hits = 0;
       misses = 0;
       insertions = 0;
@@ -219,9 +224,15 @@ let node_bytes ~fp ~plan ~optimizer =
   let word = Sys.word_size / 8 in
   (12 * word) + Fingerprint.frozen_bytes fp + plan_bytes plan + String.length optimizer + word
 
+(* Side-table record estimates: a shape record is a hashtable bucket, a
+   bucket-array slot and the boxed cost; a band member adds its list
+   cell, (band, entry) pair and entry record to that, plus its plan. *)
+let shape_record_bytes = 8 * (Sys.word_size / 8)
+let band_bytes e = shape_record_bytes + (12 * (Sys.word_size / 8)) + plan_bytes e.b_plan
+
 let evict_over_budget sh =
   let evicted = ref 0 in
-  while sh.bytes > sh.budget && sh.sent.prev != sh.sent do
+  while sh.bytes + sh.side_bytes > sh.budget && sh.sent.prev != sh.sent do
     let victim = sh.sent.prev in
     unlink victim;
     (match Hashtbl.find_opt sh.tbl victim.key with
@@ -236,27 +247,38 @@ let evict_over_budget sh =
   done;
   !evicted
 
+(* Make room for one store's side records ([bytes] bounds what they can
+   add): empty both side tables when they might not fit in the shard's
+   side share.  False when even empty tables cannot take them. *)
+let reserve_side sh bytes =
+  let side_budget = sh.budget / side_share in
+  if sh.side_bytes + bytes > side_budget then begin
+    Hashtbl.reset sh.shapes;
+    Hashtbl.reset sh.bands;
+    sh.side_bytes <- 0
+  end;
+  bytes <= side_budget
+
 let record_shape sh shape_key cost =
   match Hashtbl.find_opt sh.shapes shape_key with
   | Some best -> if cost < best then Hashtbl.replace sh.shapes shape_key cost
   | None ->
-      if Hashtbl.length sh.shapes < max_shapes_per_shard then
-        Hashtbl.replace sh.shapes shape_key cost
+      Hashtbl.replace sh.shapes shape_key cost;
+      sh.side_bytes <- sh.side_bytes + shape_record_bytes
 
 let record_band sh shape_key ~band entry =
-  match Hashtbl.find_opt sh.bands shape_key with
-  | None ->
-      if Hashtbl.length sh.bands < max_shapes_per_shard then
-        Hashtbl.replace sh.bands shape_key [ (band, entry) ]
-  | Some members -> (
-      match List.assoc_opt band members with
-      | Some old ->
-          if entry.b_cost < old.b_cost then
-            Hashtbl.replace sh.bands shape_key
-              ((band, entry) :: List.remove_assoc band members)
-      | None ->
-          if List.length members < max_bands_per_shape then
-            Hashtbl.replace sh.bands shape_key ((band, entry) :: members))
+  let members = Option.value ~default:[] (Hashtbl.find_opt sh.bands shape_key) in
+  let add rest =
+    Hashtbl.replace sh.bands shape_key ((band, entry) :: rest);
+    sh.side_bytes <- sh.side_bytes + band_bytes entry
+  in
+  match List.assoc_opt band members with
+  | Some old ->
+      if entry.b_cost < old.b_cost then begin
+        sh.side_bytes <- sh.side_bytes - band_bytes old;
+        add (List.remove_assoc band members)
+      end
+  | None -> if List.length members < max_bands_per_shape then add members
 
 let shape_shard t shape_key = t.shards_arr.((shape_key lsr 1) land t.mask)
 
@@ -270,9 +292,14 @@ let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
   let band = Fingerprint.selectivity_band scratch in
   let banded_plan = Fingerprint.shape_canonize_plan scratch plan in
   let b_entry = { b_plan = banded_plan; b_cost = cost; b_n = Fingerprint.n scratch } in
-  with_lock ssh (fun () ->
-      record_shape ssh shape_key cost;
-      record_band ssh shape_key ~band b_entry);
+  let side_evicted =
+    with_lock ssh (fun () ->
+        if reserve_side ssh (shape_record_bytes + band_bytes b_entry) then begin
+          record_shape ssh shape_key cost;
+          record_band ssh shape_key ~band b_entry
+        end;
+        evict_over_budget ssh)
+  in
   (* Canonize and freeze outside the lock; both only read caller state. *)
   let canonical = Fingerprint.canonize_plan scratch plan in
   let fp = Fingerprint.freeze scratch in
@@ -312,7 +339,7 @@ let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
             (true, evict_over_budget sh))
   in
   if inserted then Obs.Metrics.incr m_insertions;
-  if evicted > 0 then Obs.Metrics.add m_evictions evicted
+  if evicted + side_evicted > 0 then Obs.Metrics.add m_evictions (evicted + side_evicted)
 
 let shape_threshold t scratch =
   let shape_key = Fingerprint.shape_hash scratch in
@@ -359,7 +386,7 @@ let shape_seed t scratch =
 
 let resident_bytes t =
   Array.fold_left
-    (fun acc sh -> acc + with_lock sh (fun () -> sh.bytes))
+    (fun acc sh -> acc + with_lock sh (fun () -> sh.bytes + sh.side_bytes))
     0 t.shards_arr
 
 let entry_count t =
@@ -396,7 +423,7 @@ let stats t =
             band_hits = acc.band_hits + sh.band_hits;
             entries =
               acc.entries + Hashtbl.fold (fun _ nodes n -> n + List.length nodes) sh.tbl 0;
-            bytes = acc.bytes + sh.bytes;
+            bytes = acc.bytes + sh.bytes + sh.side_bytes;
           }))
     {
       hits = 0;
@@ -419,6 +446,7 @@ let clear t =
           Hashtbl.reset sh.shapes;
           Hashtbl.reset sh.bands;
           sh.bytes <- 0;
+          sh.side_bytes <- 0;
           let s = sh.sent in
           s.prev <- s;
           s.next <- s))

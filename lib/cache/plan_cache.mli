@@ -16,6 +16,16 @@
     byte budget and evicts from its own LRU tail; {!resident_bytes} is
     what a [Budget] should charge against its table ceiling.
 
+    What [max_bytes] bounds: everything the cache holds, the exact
+    entries {e and} the shape tier's side tables (shape seeds and band
+    ensembles), both charged to {!stats}[.bytes] and {!resident_bytes}.
+    The side tables are keyed by the shape hash, which includes
+    selectivity bits, so each distinct query adds records; they may hold
+    at most a quarter of each shard's budget, and a store whose records
+    might not fit empties them first.  Exact entries are evicted
+    LRU-first whenever a shard's total exceeds its share.  Losing side
+    records only loses warm-start seeds.
+
     The shape tier is keyed by the cardinality-free shape hash and has
     two faces.  {!shape_threshold} serves the best known cost for the
     shape as an upper-bound seed for the Section 6.4 thresholded driver
@@ -102,12 +112,13 @@ val shape_seed : t -> Fingerprint.scratch -> (Plan.t * float) option
     escalation/rescue machinery).  Counts a band hit. *)
 
 val resident_bytes : t -> int
-(** Current estimated footprint of all shards' entries — the number a
-    [Budget] memory ceiling should charge. *)
+(** Current estimated footprint of all shards' exact entries and side
+    tables — the number a [Budget] memory ceiling should charge; never
+    above {!max_bytes} once a store has returned. *)
 
 val entry_count : t -> int
-(** Resident exact-entry count across all shards (shape records not
-    included). *)
+(** Resident exact-entry count across all shards (side-table records
+    not included, though their bytes are). *)
 
 type stats = {
   hits : int;
@@ -118,7 +129,7 @@ type stats = {
   shape_hits : int;
   band_hits : int;  (** Banded-ensemble plan seeds served. *)
   entries : int;
-  bytes : int;
+  bytes : int;  (** Exact entries plus side tables, as {!resident_bytes}. *)
 }
 
 val stats : t -> stats

@@ -5,13 +5,19 @@
     evaluations of [kappa''] depending on cost spacing (Section 6.2), and
     [2^n] per-subset straight-line executions.  These counters let the
     benchmarks verify those predictions empirically (experiment
-    "counts"). *)
+    "counts").  The paper's analysis is of its full loop over ordered
+    splits, which [Split_loop.Reference] and the closure-calling kernel
+    still run; the kernels of symmetric cost models
+    ([Split_loop.symmetric]) visit each unordered split once, so their
+    loop counts are half the paper's. *)
 
 type t = {
   mutable subsets : int;
       (** Calls to find_best_split: non-singleton subsets processed. *)
   mutable loop_iters : int;
-      (** Split-loop iterations in aggregate (the [3^n] term). *)
+      (** Split-loop iterations in aggregate (the [3^n] term): ordered
+          splits visited by the full loop, unordered splits (exactly
+          half as many) by the symmetric kernels. *)
   mutable operand_sums : int;
       (** Iterations passing the nested-[if] operand-cost checks (both
           operand costs below best-so-far). *)
@@ -53,8 +59,10 @@ val merge_into : from:t -> into:t -> unit
 (** {1 Analytic predictions (Section 3.3)} *)
 
 val exact_loop_iters : int -> int
-(** Exact aggregate split-loop count without thresholds:
-    [3^n - 2^(n+1) + 1]. *)
+(** Exact aggregate count of ordered splits without thresholds,
+    [3^n - 2^(n+1) + 1]: the paper's loop, and [loop_iters] of the full
+    loop.  A symmetric kernel visits exactly half of them
+    ([exact_loop_iters n / 2], an integer since the count is even). *)
 
 val predicted_dprime_lower : int -> float
 (** [(ln 2 / 2) n 2^n], the expected count when cost spacing lets the

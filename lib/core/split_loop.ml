@@ -34,13 +34,28 @@ module Cost_model = Blitz_cost.Cost_model
    each improvement.  Inside one function, local float refs compile to
    unboxed mutable variables (reference elimination), so the paper-model
    bodies are allocation-free — `bench split` gates Gc.minor_words
-   delta = 0 across a warm sweep.  [lhs] walks all nonempty proper
-   subsets of [s] via the successor trick; nested ifs defer the kappa''
-   evaluation until both operand costs and their sum beat the best split
-   so far (Section 6.2).  All bodies reproduce the reference kernel's
-   float expressions and counter updates exactly, so costs, [best_lhs]
-   links and counters are bit-identical to {!Reference}
-   (QCheck-enforced). *)
+   delta = 0 across a warm sweep.  [lhs] walks the nonempty proper
+   subsets of [s] in ascending order via the successor trick; nested ifs
+   defer the kappa'' evaluation until both operand costs and their sum
+   beat the best split so far (Section 6.2).
+
+   Half loop.  The three symmetric bodies ("zero", "sum-aux", "dnl")
+   stop at the midpoint, [lhs < s lxor lhs]: they visit each unordered
+   split {L, S\L} once, in the orientation whose left side lacks [s]'s
+   highest bit.  Ascending order puts every such [L] before every subset
+   holding that bit, so the half they visit is exactly the first half of
+   Reference's walk, and each pair is met at its first position there.
+   Their split costs are symmetric to the bit ([cl +. cr], [laux +.
+   raux], [lcard *. rcard], [Float.min] all commute), so Reference's
+   second visit of a pair computes the same values and compares them
+   against a best-so-far that can only have dropped since the first:
+   the strict [<] rejects it, even on ties.  Costs, cards, [best_lhs]
+   links, [improvements], [threshold_skips] and [infeasible] therefore
+   stay bit-identical to {!Reference}; [loop_iters] is exactly half of
+   it, and [operand_sums]/[dprime_evals] are at most its counts.  The
+   "general" body calls an arbitrary closure, which need not be
+   symmetric, so it walks the full loop and matches Reference in every
+   counter (QCheck-enforced, test/test_split_kernel.ml). *)
 
 (* kappa' alone already "overflows" the threshold: skip the split loop
    entirely.  Shared across bodies — only word-sized arguments, so the
@@ -65,7 +80,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 in
-      while !lhs <> s do
+      while !lhs < s lxor !lhs do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -103,7 +118,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 in
-      while !lhs <> s do
+      while !lhs < s lxor !lhs do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -149,7 +164,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 in
-      while !lhs <> s do
+      while !lhs < s lxor !lhs do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -197,7 +212,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 in
-      while !lhs <> s do
+      while !lhs < s lxor !lhs do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -281,6 +296,11 @@ let variant (model : Cost_model.t) =
   | Cost_model.Paper_sort_merge -> "sum-aux"
   | Cost_model.Paper_dnl _ -> "dnl"
   | Cost_model.Opaque -> if model.dprime_is_zero then "zero" else "general"
+
+let symmetric (model : Cost_model.t) =
+  match model.kind with
+  | Cost_model.Paper_naive | Cost_model.Paper_sort_merge | Cost_model.Paper_dnl _ -> true
+  | Cost_model.Opaque -> model.dprime_is_zero
 
 (* The pre-refactor kernel, kept verbatim for differential testing and
    as the baseline the `bench split` speedup gate measures against. *)

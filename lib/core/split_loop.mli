@@ -14,9 +14,21 @@
     three paper models run with their [kappa''] arithmetic inlined (no
     closure call, no float boxing — the loop allocates nothing), each
     reading the struct-of-arrays columns of {!Dp_table} directly.
-    [Opaque] models fall back to a closure-calling body.  All kernels produce bit-identical costs,
-    [best_lhs] links and counters to the pre-refactor {!Reference}
-    kernel, which is kept for differential tests and benchmarks.
+    [Opaque] models fall back to a closure-calling body.
+
+    The bodies of {!symmetric} models walk half the split loop: every
+    such model prices [(l, s lxor l)] and [(s lxor l, l)] bit-identically, so
+    they stop at the midpoint of the ascending [lhs] walk and visit each
+    unordered split once.  The skipped half is exactly the visits of
+    {!Reference} that can never pass its strict [<] (the second
+    orientation of a pair already met), so every kernel produces
+    bit-identical costs, cards, [best_lhs] links and plans to the
+    pre-refactor {!Reference} kernel, which is kept for differential
+    tests and benchmarks.  Counters: [subsets], [improvements],
+    [threshold_skips] and [infeasible] match {!Reference} exactly;
+    [loop_iters] is exactly half of {!Reference}'s for symmetric models
+    and equal to it for the "general" body; [operand_sums] and
+    [dprime_evals] are never above {!Reference}'s.
 
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]
@@ -35,6 +47,12 @@ val variant : Blitz_cost.Cost_model.t -> string
 (** Which monomorphized loop body {!find_best_split} runs for the model:
     ["zero"], ["sum-aux"], ["dnl"] or ["general"].  Diagnostic
     (e.g. the [blitz explain] kernel summary line). *)
+
+val symmetric : Blitz_cost.Cost_model.t -> bool
+(** Whether {!find_best_split} visits each unordered split once for the
+    model (every body but ["general"]): its aggregate [loop_iters] is
+    then [Counters.exact_loop_iters n / 2] without thresholds, instead
+    of the full count. *)
 
 (** The pre-refactor split kernel, retained verbatim as the baseline
     for differential tests and for the [bench split] speedup gate.  Same

@@ -505,6 +505,33 @@ let test_guard_bypasses_on_repairs () =
   Alcotest.(check int) "nothing stored" 0 st.Plan_cache.insertions;
   Alcotest.(check int) "nothing looked up" 0 (st.Plan_cache.hits + st.Plan_cache.misses)
 
+(* The side tables live inside the byte budget.  Every store records a
+   shape seed and a band-ensemble plan keyed by the shape hash, which
+   includes selectivity bits; a stream of distinct-selectivity queries
+   must not grow the cache's heap past what [max_bytes] allows, and
+   [stats.bytes] must count what the side tables hold. *)
+let test_side_tables_bounded () =
+  let model = Cost_model.kdnl in
+  let n = 12 in
+  let max_bytes = 256 * 1024 in
+  let cache = Plan_cache.create ~max_bytes () in
+  let cards = Catalog.of_cards (Array.init n (fun i -> float_of_int (10 + (7 * i)))) in
+  let plan = balanced_plan n in
+  for k = 0 to 4_999 do
+    let sel i = 1e-3 *. (1.0 +. (float_of_int ((k * 13) + i) /. 5000.0)) in
+    let graph = Join_graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1, sel i))) in
+    let s = fingerprint ~model cards (Some graph) in
+    Plan_cache.store cache s ~optimizer:"exact" ~plan ~cost:(float_of_int k) ~passes:1
+      ~final_threshold:infinity
+  done;
+  let st = Plan_cache.stats cache in
+  let heap_bytes = Obj.reachable_words (Obj.repr cache) * (Sys.word_size / 8) in
+  Alcotest.(check bool) "accounted bytes within max_bytes" true (st.Plan_cache.bytes <= max_bytes);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap %d bytes within 2 x max_bytes" heap_bytes)
+    true
+    (heap_bytes <= 2 * max_bytes)
+
 let test_eligibility_charges_cache_bytes () =
   (* Cache residency shares the table memory ceiling: the same budget
      that admits the exact tier with an empty cache refuses it when the
@@ -552,4 +579,5 @@ let suite =
     Alcotest.test_case "guard bypasses on repairs" `Quick test_guard_bypasses_on_repairs;
     Alcotest.test_case "eligibility charges cache bytes" `Quick test_eligibility_charges_cache_bytes;
     Alcotest.test_case "cacheless sessions opt out" `Quick test_sessions_without_cache_opt_out;
+    Alcotest.test_case "side tables stay inside max_bytes" `Quick test_side_tables_bounded;
   ]
