@@ -1,6 +1,6 @@
 (* Experiment "parallel": rank-parallel blitzsplit speedup curve.
 
-   Measures the sequential optimizer and Parallel_blitzsplit at 1/2/4/8
+   Measures the sequential optimizer and its rank order at 1/2/4/8
    domains over n = 12..20 (Cartesian products, kappa_0, equal
    cardinalities — the same pure-3^n kernel as fig2), verifying on every
    point that the parallel cost is bit-identical to the sequential one.
@@ -16,8 +16,7 @@
 module Catalog = Blitz_catalog.Catalog
 module Cost_model = Blitz_cost.Cost_model
 module Blitzsplit = Blitz_core.Blitzsplit
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
 
@@ -46,7 +45,7 @@ let run () =
   let lo, hi = if Bench_config.fast then (10, 13) else (12, 20) in
   let budget_per_point = if Bench_config.fast then 1.0 else 30.0 in
   let min_total = if Bench_config.fast then 0.02 else 0.2 in
-  let cores = Parallel_blitzsplit.recommended_domains () in
+  let cores = Domain.recommended_domain_count () in
   (* On a single-core host every multi-domain point measures scheduling
      overhead, not parallelism: the numbers are still recorded, stamped
      advisory, and the speedup gate is skipped. *)
@@ -85,7 +84,7 @@ let run () =
                   time_wall ~min_total (fun () ->
                       par_result :=
                         Some
-                          (Parallel_blitzsplit.optimize_product ~pool ~num_domains:d
+                          (Blitzsplit.optimize_product ~pool ~num_domains:d
                              ~min_parallel_n:2 model catalog))
                 in
                 let par_cost = Blitzsplit.best_cost (Option.get !par_result) in
@@ -105,7 +104,7 @@ let run () =
          ("model", Json.String "k0");
          ("cores_available", Json.Int cores);
          ("advisory", Json.Bool advisory);
-         ("auto_fallback_below_n", Json.Int Parallel_blitzsplit.default_crossover_n);
+         ("auto_fallback_below_n", Json.Int Blitzsplit.default_crossover_n);
          ("sequential_s", Json.Float seq_s);
        ]
       @ List.map

@@ -33,7 +33,6 @@ module Sanitize = Blitz_guard.Sanitize
 module Chaos = Blitz_guard.Chaos
 module Noise = Blitz_robust.Noise
 module Regret = Blitz_robust.Regret
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Plan_cache = Blitz_cache.Plan_cache
@@ -50,6 +49,21 @@ let topology_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Topology.of_string s) in
   let print ppf t = Format.pp_print_string ppf (Topology.name t) in
   Arg.conv (parse, print)
+
+(* Float options the optimizers would reject with [Invalid_argument]
+   are refused here instead, as usage errors. *)
+let float_conv ~expected valid =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when valid f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let threshold_conv =
+  float_conv ~expected:"a positive finite number" (fun f -> f > 0.0 && Float.is_finite f)
+
+let growth_conv = float_conv ~expected:"a number greater than 1" (fun f -> f > 1.0)
 
 let model_arg =
   Arg.(
@@ -246,14 +260,14 @@ let optimize_cmd =
   let threshold_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some threshold_conv) None
       & info [ "threshold" ] ~docv:"COST"
           ~doc:"Plan-cost threshold (Section 6.4); re-optimizes with a raised threshold on failure.")
   in
   let growth_arg =
     Arg.(
       value
-      & opt float 1e4
+      & opt growth_conv 1e4
       & info [ "growth" ] ~docv:"FACTOR" ~doc:"Threshold growth factor between passes.")
   in
   let dump_table_arg =
@@ -361,7 +375,7 @@ let optimize_cmd =
     obs_arm ~metrics ~trace;
     let names = Catalog.names problem.catalog in
     let num_domains =
-      if num_domains = 0 then Parallel_blitzsplit.recommended_domains ()
+      if num_domains = 0 then Domain.recommended_domain_count ()
       else if num_domains < 0 || num_domains > 128 then begin
         Printf.eprintf "blitz: --num-domains %d outside [0, 128]\n" num_domains;
         exit 1
@@ -722,7 +736,7 @@ let explain_cmd =
   let threshold_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some threshold_conv) None
       & info [ "threshold" ] ~docv:"COST"
           ~doc:"Initial plan-cost threshold for the thresholded optimizer.")
   in

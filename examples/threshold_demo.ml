@@ -32,7 +32,8 @@ let () =
   (* A comfortable threshold: one pass, far less work. *)
   let t1_counters = Counters.create () in
   let t1 =
-    Threshold.optimize_join ~counters:t1_counters ~threshold:1e9 Cost_model.naive catalog graph
+    Threshold.optimize ~counters:t1_counters ~threshold:1e9 Cost_model.naive catalog
+      (Blitzsplit.Join graph)
   in
   Printf.printf "threshold 1e9:   cost %.6g, split-loop iterations %d, passes %d (%.1fx less work)\n"
     (Blitzsplit.best_cost t1.Threshold.result)
@@ -42,8 +43,8 @@ let () =
   (* An over-ambitious threshold: fails, retries, still exact. *)
   let t2_counters = Counters.create () in
   let t2 =
-    Threshold.optimize_join ~counters:t2_counters ~growth:100.0 ~threshold:10.0 Cost_model.naive
-      catalog graph
+    Threshold.optimize ~counters:t2_counters ~growth:100.0 ~threshold:10.0 Cost_model.naive
+      catalog (Blitzsplit.Join graph)
   in
   Printf.printf "threshold 10:    cost %.6g, passes %d, final threshold %g\n"
     (Blitzsplit.best_cost t2.Threshold.result)

@@ -22,38 +22,19 @@
     in find_best_split be necessary", Section 5.4): the split loop is
     byte-for-byte the one {!Blitzsplit} uses. *)
 
-module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Equivalence = Blitz_graph.Equivalence
 module Cost_model = Blitz_cost.Cost_model
-module Plan = Blitz_plan.Plan
 
 val max_classes : int
 (** Classes are tracked in one bitmask word: at most 62. *)
 
-type t = {
-  table : Dp_table.t;
-  counters : Counters.t;
-  catalog : Catalog.t;
-  equivalence : Equivalence.t;
-  model : Cost_model.t;
-  threshold : float;
-}
-
-val optimize :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Equivalence.t ->
-  t
-(** Like {!Blitzsplit.optimize_join}, with class-aware cardinalities.
-    Raises [Invalid_argument] on size mismatches or more than
-    {!max_classes} classes. *)
-
-val feasible : t -> bool
-val best_cost : t -> float
-val best_plan : t -> Plan.t option
-val best_plan_exn : t -> Plan.t
-val subplan : t -> Relset.t -> Plan.t option
+val recurrence : Cost_model.t -> Catalog.t -> Equivalence.t -> Dp_table.t -> int -> unit
+(** The class-mask [compute_properties] behind
+    [Blitzsplit.optimize model catalog (Classes e)], which is the entry
+    point.  Applied to the first three arguments it checks sizes,
+    raising [Invalid_argument] on a size mismatch or more than
+    {!max_classes} classes; applied to a pass's table it allocates the
+    pass's mask column; applied then to a non-singleton subset it fills
+    the subset's [card] and [aux] from its lowest element and the rest
+    (both strictly smaller), writing only that subset's slots. *)

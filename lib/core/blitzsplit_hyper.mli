@@ -13,32 +13,16 @@
     endpoints" generalized to "all members").  As with the other
     variants, find_best_split is untouched. *)
 
-module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Hypergraph = Blitz_graph.Hypergraph
 module Cost_model = Blitz_cost.Cost_model
-module Plan = Blitz_plan.Plan
 
 val max_hyperedges : int
 (** 62 (one bitmask word). *)
 
-type t = {
-  table : Dp_table.t;
-  counters : Counters.t;
-  catalog : Catalog.t;
-  hypergraph : Hypergraph.t;
-  model : Cost_model.t;
-  threshold : float;
-}
-
-val optimize :
-  ?arena:Arena.t ->
-  ?counters:Counters.t -> ?threshold:float -> Cost_model.t -> Catalog.t -> Hypergraph.t -> t
-(** Raises [Invalid_argument] on size mismatch or more than
-    {!max_hyperedges} hyperedges. *)
-
-val feasible : t -> bool
-val best_cost : t -> float
-val best_plan : t -> Plan.t option
-val best_plan_exn : t -> Plan.t
-val subplan : t -> Relset.t -> Plan.t option
+val recurrence : Cost_model.t -> Catalog.t -> Hypergraph.t -> Dp_table.t -> int -> unit
+(** The completed-hyperedge [compute_properties] behind
+    [Blitzsplit.optimize model catalog (Hyper h)], which is the entry
+    point.  Raises [Invalid_argument] on a size mismatch or more than
+    {!max_hyperedges} hyperedges when applied to its first three
+    arguments; otherwise as [Blitzsplit_eq.recurrence]. *)

@@ -1,13 +1,12 @@
 (** The per-subset kernels of Algorithm blitzsplit, shared by the
-    optimizer variants and by the rank-parallel driver.
+    optimizer variants and both walk orders.
 
-    {!Blitzsplit} (plain join graphs), {!Blitzsplit_eq}
-    (equivalence-class cardinalities) and [Parallel_blitzsplit] (the
-    rank-parallel decomposition in [blitz_parallel]) differ only in how
-    subsets are enumerated and in how [compute_properties] fills the
-    cardinality column; the split loop — the [O(3^n)] part realized with
-    the successor trick and nested-[if] pruning (Sections 4.2, 6.2) —
-    is identical and lives here.
+    {!Blitzsplit}'s one driver walks subsets in increasing order or rank
+    by rank on a domain pool, and its predicate kinds (products, join
+    graphs, equivalence classes, hyperedges) differ only in how
+    [compute_properties] fills the cardinality column; the split loop —
+    the [O(3^n)] part realized with the successor trick and nested-[if]
+    pruning (Sections 4.2, 6.2) — is identical and lives here.
 
     {!find_best_split} dispatches once per subset on
     {!Blitz_cost.Cost_model.kind} to a monomorphized loop body: the

@@ -14,7 +14,6 @@
     whenever the optimum is below its threshold. *)
 
 module Catalog = Blitz_catalog.Catalog
-module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 
 type outcome = {
@@ -31,7 +30,10 @@ type outcome = {
           unthresholded rescue pass was needed). *)
 }
 
-val optimize_join :
+val optimize :
+  ?pool:Pool.t ->
+  ?num_domains:int ->
+  ?min_parallel_n:int ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
   ?growth:float ->
@@ -41,78 +43,21 @@ val optimize_join :
   threshold:float ->
   Cost_model.t ->
   Catalog.t ->
-  Join_graph.t ->
+  Blitzsplit.predicates ->
   outcome
-(** [optimize_join ~threshold model catalog graph] runs blitzsplit with
+(** [optimize ~threshold model catalog predicates] runs blitzsplit with
     the given initial plan-cost threshold; on failure the threshold is
     multiplied by [growth] (default [1e4]) and the optimization rerun, up
     to [max_passes] (default 16) thresholded passes, after which a final
-    unthresholded rescue pass guarantees an answer.  [counters]
-    accumulates over all passes.  [interrupt] is forwarded to every
-    underlying pass; when it fires, {!Blitzsplit.Interrupted} propagates
-    out of the driver.  [multiway] is likewise forwarded to every pass
+    unthresholded rescue pass guarantees an answer.  Every pass runs
+    through {!Blitzsplit.with_passes}, so all of them share one walk
+    order, one domain pool ([?pool], [?num_domains], [?min_parallel_n]
+    as in {!Blitzsplit.optimize}) and one DP table ([?arena], or a
+    private arena).  [counters] accumulates over all passes.  [interrupt]
+    is forwarded to every pass; when it fires, {!Blitzsplit.Interrupted}
+    propagates out of the driver.  [multiway] is likewise forwarded
     (threshold semantics are unchanged: the n-ary candidate is accepted
     only strictly below the pass threshold, so a successful pass is still
-    optimal for its search space).  Raises [Invalid_argument] for
-    non-positive thresholds or [growth <= 1]. *)
-
-val optimize_product :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  ?interrupt:(unit -> bool) ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  outcome
-
-val drive :
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  threshold:float ->
-  (counters:Counters.t -> threshold:float -> Blitzsplit.t) ->
-  outcome
-(** The raw multi-pass driver behind {!optimize_join}/{!optimize_product},
-    exposed so alternative pass implementations — notably the
-    rank-parallel [Parallel_blitzsplit] in [blitz_parallel] — reuse the
-    exact threshold-escalation and rescue-pass policy.  The callback runs
-    one optimization pass at the given threshold, accumulating into the
-    supplied counters. *)
-
-(** {1 Variant optimizers}
-
-    The same multi-pass driver over the equivalence-class and hypergraph
-    variants; the correctness argument is identical since both share the
-    split loop and its threshold semantics. *)
-
-type eq_outcome = { eq_result : Blitzsplit_eq.t; eq_passes : int; eq_final_threshold : float }
-
-val optimize_eq :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Blitz_graph.Equivalence.t ->
-  eq_outcome
-
-type hyper_outcome = {
-  hyper_result : Blitzsplit_hyper.t;
-  hyper_passes : int;
-  hyper_final_threshold : float;
-}
-
-val optimize_hyper :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Blitz_graph.Hypergraph.t ->
-  hyper_outcome
+    optimal for its search space).  Raises [Invalid_argument] unless the
+    threshold is positive and finite, [growth > 1] and
+    [max_passes >= 1]. *)

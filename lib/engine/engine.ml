@@ -4,7 +4,7 @@ module Cost_model = Blitz_cost.Cost_model
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Blitzsplit = Blitz_core.Blitzsplit
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Obs = Blitz_obs.Obs
 module Plan = Blitz_plan.Plan
 module Plan_cache = Blitz_cache.Plan_cache

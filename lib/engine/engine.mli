@@ -5,7 +5,7 @@
     domain spawns) taxes exactly the small, fast queries the constants
     win on.  A session owns an {!Blitz_core.Arena} (high-water-mark
     DP-table buffer + reusable counters) and, for multi-domain
-    sessions, one lazily spawned {!Blitz_parallel.Pool}, and runs any
+    sessions, one lazily spawned {!Blitz_core.Pool}, and runs any
     registered optimizer through them.  Results are bit-identical to
     fresh-allocation runs for every optimizer and domain count (tested
     property).
@@ -37,7 +37,7 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Plan_cache = Blitz_cache.Plan_cache
 
 type t

@@ -8,8 +8,7 @@ module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
 module Blitzsplit = Blitz_core.Blitzsplit
 module Threshold = Blitz_core.Threshold
-module Pool = Blitz_parallel.Pool
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
+module Pool = Blitz_core.Pool
 module Hybrid = Blitz_hybrid.Hybrid
 module Dpccp = Blitz_dpccp.Dpccp
 module Dpconv = Blitz_dpccp.Dpconv
@@ -134,24 +133,18 @@ let tablefree_caps =
 
 (* ---- the exact tier: blitzsplit, sequential or rank-parallel ---- *)
 
-(* [Parallel_blitzsplit.run] already folds down to the sequential
-   optimizer when it has neither a pool nor more than one domain, so
-   one call covers every (pool, num_domains) combination; the result is
-   bit-identical across all of them. *)
+let predicates_of p =
+  match p.graph with Some g -> Blitzsplit.Join g | None -> Blitzsplit.Product
+
+(* One call covers every (pool, num_domains, multiway) combination: the
+   driver picks the walk order, and the result is bit-identical across
+   all of them. *)
 let run_exact ctx p =
   let ctr = counters_of ctx in
-  let r =
-    match p.graph with
-    | Some g when ctx.multiway ->
-      (* The rank-parallel driver has no multiway path: an n-ary planning
-         request always runs the sequential optimizer, pool or not. *)
-      Blitzsplit.optimize_join ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt
-        ~multiway:true ctx.model p.catalog g
-    | _ ->
-      Parallel_blitzsplit.run ?pool:ctx.pool ~num_domains:ctx.num_domains ~graph_opt:p.graph
-        ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt ctx.model p.catalog
-  in
-  of_blitzsplit ctr r
+  of_blitzsplit ctr
+    (Blitzsplit.optimize ?pool:ctx.pool ~num_domains:ctx.num_domains ?arena:ctx.arena
+       ~counters:ctr ?interrupt:ctx.interrupt ~multiway:ctx.multiway ctx.model p.catalog
+       (predicates_of p))
 
 (* ---- the thresholded tier (Section 6.4 driver) ---- *)
 
@@ -169,26 +162,9 @@ let run_thresholded ctx p =
     match ctx.threshold with Some t -> t | None -> seed_threshold ctx p
   in
   let outcome =
-    (* Same fallback as [run_exact]: multiway planning is sequential. *)
-    if (ctx.pool <> None || ctx.num_domains > 1) && not (ctx.multiway && p.graph <> None) then
-      match p.graph with
-      | Some g ->
-        Parallel_blitzsplit.threshold_optimize_join ?pool:ctx.pool ?arena:ctx.arena
-          ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt
-          ~num_domains:ctx.num_domains ~threshold ctx.model p.catalog g
-      | None ->
-        Parallel_blitzsplit.threshold_optimize_product ?pool:ctx.pool ?arena:ctx.arena
-          ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt
-          ~num_domains:ctx.num_domains ~threshold ctx.model p.catalog
-    else
-      match p.graph with
-      | Some g ->
-        Threshold.optimize_join ?arena:ctx.arena ~counters:ctr ?growth:ctx.growth
-          ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt ~multiway:ctx.multiway ~threshold
-          ctx.model p.catalog g
-      | None ->
-        Threshold.optimize_product ?arena:ctx.arena ~counters:ctr ?growth:ctx.growth
-          ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt ~threshold ctx.model p.catalog
+    Threshold.optimize ?pool:ctx.pool ~num_domains:ctx.num_domains ?arena:ctx.arena
+      ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt
+      ~multiway:ctx.multiway ~threshold ctx.model p.catalog (predicates_of p)
   in
   of_blitzsplit ~passes:outcome.Threshold.passes
     ~final_threshold:outcome.Threshold.final_threshold ctr outcome.Threshold.result

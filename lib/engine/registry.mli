@@ -23,7 +23,7 @@ module Plan = Blitz_plan.Plan
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Dpccp = Blitz_dpccp.Dpccp
 module Dpconv = Blitz_dpccp.Dpconv
 
@@ -54,8 +54,8 @@ type ctx = {
       (** Request hybrid binary+n-ary planning: optimizers whose caps
           advertise [multiway] additionally consider AGM-costed
           [Plan.Multiway] candidates on cyclic cores; the rest ignore
-          the flag.  Multiway planning is sequential — entries fall back
-          from the pool to the sequential path when both are asked. *)
+          the flag.  Multiway planning is sequential: the blitzsplit
+          driver ignores the pool when both are asked. *)
 }
 (** Everything an optimizer may draw on, problem-independent: one [ctx]
     can serve many problems (that is what {!Engine} does). *)

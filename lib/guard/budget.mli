@@ -48,8 +48,8 @@ val expired : t -> bool
 
 val interrupt : t -> unit -> bool
 (** [interrupt t] is the cancellation probe to hand to
-    [Blitzsplit.optimize_join ~interrupt] and friends — including the
-    rank-parallel [Parallel_blitzsplit], which polls it from every
+    [Blitzsplit.optimize_join ~interrupt] and friends — including their
+    rank order, which polls it from every
     worker domain (see {!expired} for why that is safe): a closure
     returning [true] once the deadline has passed.  One
     [Unix.gettimeofday] call per poll; the optimizers already rate-limit

@@ -4,7 +4,7 @@ module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 module Blitzsplit = Blitz_core.Blitzsplit
 module Arena = Blitz_core.Arena
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Registry = Blitz_engine.Registry
 module B = Blitz_baselines
 module Obs = Blitz_obs.Obs

@@ -25,7 +25,7 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 module Arena = Blitz_core.Arena
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 
 type tier =
   | Exact  (** Unthresholded blitzsplit: the [O(3^n)] optimum. *)

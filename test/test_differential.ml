@@ -5,8 +5,6 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
-module Blitzsplit_eq = Blitz_core.Blitzsplit_eq
-module Blitzsplit_hyper = Blitz_core.Blitzsplit_hyper
 module Threshold = Blitz_core.Threshold
 module Equivalence = Blitz_graph.Equivalence
 module Hypergraph = Blitz_graph.Hypergraph
@@ -27,12 +25,14 @@ let prop_exhaustive_strategies_agree =
           ("volcano", snd (fst (B.Volcano.optimize p.model p.catalog p.graph)));
           ( "threshold",
             Blitzsplit.best_cost
-              (Threshold.optimize_join ~threshold:1.0 ~growth:100.0 p.model p.catalog p.graph)
+              (Threshold.optimize ~threshold:1.0 ~growth:100.0 p.model p.catalog
+                 (Blitzsplit.Join p.graph))
                 .Threshold.result );
           ("bruteforce", snd (B.Bruteforce.optimize p.model p.catalog p.graph));
           ( "hyper embedding",
-            Blitzsplit_hyper.best_cost
-              (Blitzsplit_hyper.optimize p.model p.catalog (Hypergraph.of_join_graph p.graph)) );
+            Blitzsplit.best_cost
+              (Blitzsplit.optimize p.model p.catalog
+                 (Blitzsplit.Hyper (Hypergraph.of_join_graph p.graph))) );
         ]
       in
       List.iter
@@ -89,10 +89,13 @@ let prop_eq_and_plain_consistency =
       in
       let eq = Equivalence.of_predicates ~n preds in
       let a = Blitzsplit.best_cost (Blitzsplit.optimize_join p.model p.catalog graph) in
-      let b = Blitzsplit_eq.best_cost (Blitzsplit_eq.optimize p.model p.catalog eq) in
+      let b =
+        Blitzsplit.best_cost (Blitzsplit.optimize p.model p.catalog (Blitzsplit.Classes eq))
+      in
       let c =
-        Blitzsplit_hyper.best_cost
-          (Blitzsplit_hyper.optimize p.model p.catalog (Hypergraph.of_join_graph graph))
+        Blitzsplit.best_cost
+          (Blitzsplit.optimize p.model p.catalog
+             (Blitzsplit.Hyper (Hypergraph.of_join_graph graph)))
       in
       agree a b && agree a c)
 

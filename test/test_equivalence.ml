@@ -4,7 +4,6 @@
 open Test_helpers
 module Equivalence = Blitz_graph.Equivalence
 module Blitzsplit = Blitz_core.Blitzsplit
-module Blitzsplit_eq = Blitz_core.Blitzsplit_eq
 module Dp_table = Blitz_core.Dp_table
 module B = Blitz_baselines
 
@@ -85,12 +84,12 @@ let test_validation () =
 
 let test_eq_optimizer_table_cardinalities () =
   let catalog = Catalog.of_cards [| 1000.0; 1000.0; 1000.0 |] in
-  let r = Blitzsplit_eq.optimize Cost_model.naive catalog triangle_class in
+  let r = Blitzsplit.optimize Cost_model.naive catalog (Blitzsplit.Classes triangle_class) in
   for s = 1 to 7 do
     check_float
       (Printf.sprintf "card of subset %d" s)
       (Equivalence.join_cardinality catalog triangle_class s)
-      (Dp_table.card r.Blitzsplit_eq.table s)
+      (Dp_table.card r.Blitzsplit.table s)
   done
 
 let test_eq_vs_pairwise_plan_quality () =
@@ -104,7 +103,7 @@ let test_eq_vs_pairwise_plan_quality () =
     Equivalence.of_predicates ~n:4
       [ ((0, "x"), (1, "y"), 0.01); ((1, "y"), (2, "z"), 0.01); ((2, "w"), (3, "v"), 0.1) ]
   in
-  let r_eq = Blitzsplit_eq.optimize Cost_model.naive catalog e in
+  let r_eq = Blitzsplit.optimize Cost_model.naive catalog (Blitzsplit.Classes e) in
   let pairwise = Equivalence.as_pairwise_graph e in
   let r_plain = Blitzsplit.optimize_join Cost_model.naive catalog pairwise in
   (* The plain optimizer believes the full join is 10x smaller than the
@@ -113,7 +112,7 @@ let test_eq_vs_pairwise_plan_quality () =
     B.Eval.of_cardinality Cost_model.naive ~n:4 (Equivalence.join_cardinality catalog e)
   in
   let true_cost plan = B.Eval.cost eval plan in
-  let eq_plan = Blitzsplit_eq.best_plan_exn r_eq in
+  let eq_plan = Blitzsplit.best_plan_exn r_eq in
   let plain_plan = Blitzsplit.best_plan_exn r_plain in
   Alcotest.(check bool) "class-aware plan is optimal under the true model" true
     (true_cost eq_plan <= true_cost plain_plan +. 1e-9)
@@ -155,10 +154,10 @@ let prop_eq_matches_bruteforce =
   QCheck2.Test.make ~count:120 ~name:"class-aware optimizer finds the brute-force optimum"
     ~print:eq_problem_print eq_problem_gen
     (fun (_, n, catalog, e, model) ->
-      let r = Blitzsplit_eq.optimize model catalog e in
+      let r = Blitzsplit.optimize model catalog (Blitzsplit.Classes e) in
       let eval = B.Eval.of_cardinality model ~n (Equivalence.join_cardinality catalog e) in
       let _, oracle = B.Bruteforce.optimize_subset eval (Relset.full n) in
-      Blitz_util.Float_more.approx_equal ~rel:1e-6 oracle (Blitzsplit_eq.best_cost r))
+      Blitz_util.Float_more.approx_equal ~rel:1e-6 oracle (Blitzsplit.best_cost r))
 
 let prop_eq_agrees_with_plain_on_tree_classes =
   (* When every class touches exactly two relations, classes and the
@@ -178,10 +177,10 @@ let prop_eq_agrees_with_plain_on_tree_classes =
         List.map (fun (i, j, sel) -> (i, j, Float.min sel 1.0)) (Join_graph.edges p.graph)
       in
       let graph = Join_graph.of_edges ~n clamped_edges in
-      let r_eq = Blitzsplit_eq.optimize p.model p.catalog e in
+      let r_eq = Blitzsplit.optimize p.model p.catalog (Blitzsplit.Classes e) in
       let r_plain = Blitzsplit.optimize_join p.model p.catalog graph in
       Blitz_util.Float_more.approx_equal ~rel:1e-9 (Blitzsplit.best_cost r_plain)
-        (Blitzsplit_eq.best_cost r_eq))
+        (Blitzsplit.best_cost r_eq))
 
 let suite =
   [

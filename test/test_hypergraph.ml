@@ -3,7 +3,6 @@
 open Test_helpers
 module Hypergraph = Blitz_graph.Hypergraph
 module Blitzsplit = Blitz_core.Blitzsplit
-module Blitzsplit_hyper = Blitz_core.Blitzsplit_hyper
 module Dp_table = Blitz_core.Dp_table
 module B = Blitz_baselines
 
@@ -58,12 +57,12 @@ let test_span_and_crosses () =
 
 let test_optimizer_table_cardinalities () =
   let catalog = Catalog.of_cards [| 10.0; 20.0; 30.0; 40.0 |] in
-  let r = Blitzsplit_hyper.optimize Cost_model.naive catalog three_way in
+  let r = Blitzsplit.optimize Cost_model.naive catalog (Blitzsplit.Hyper three_way) in
   for s = 1 to 15 do
     check_float
       (Printf.sprintf "card of subset %d" s)
       (Hypergraph.join_cardinality catalog three_way s)
-      (Dp_table.card r.Blitzsplit_hyper.table s)
+      (Dp_table.card r.Blitzsplit.table s)
   done
 
 let test_binary_embedding_agrees_with_plain () =
@@ -74,8 +73,8 @@ let test_binary_embedding_agrees_with_plain () =
   let graph = random_graph rng ~n:7 ~edge_prob:0.5 ~sel_lo:1e-3 ~sel_hi:1.0 in
   let hyper = Hypergraph.of_join_graph graph in
   let a = Blitzsplit.optimize_join Cost_model.kdnl catalog graph in
-  let b = Blitzsplit_hyper.optimize Cost_model.kdnl catalog hyper in
-  check_float ~rel:1e-9 "same optimum" (Blitzsplit.best_cost a) (Blitzsplit_hyper.best_cost b)
+  let b = Blitzsplit.optimize Cost_model.kdnl catalog (Blitzsplit.Hyper hyper) in
+  check_float ~rel:1e-9 "same optimum" (Blitzsplit.best_cost a) (Blitzsplit.best_cost b)
 
 (* Random hypergraph problems for the brute-force oracle. *)
 let hyper_problem_gen =
@@ -116,25 +115,25 @@ let prop_hyper_matches_bruteforce =
   QCheck2.Test.make ~count:120 ~name:"hypergraph optimizer finds the brute-force optimum"
     ~print:hyper_problem_print hyper_problem_gen
     (fun (_, n, catalog, hyper, model) ->
-      let r = Blitzsplit_hyper.optimize model catalog hyper in
+      let r = Blitzsplit.optimize model catalog (Blitzsplit.Hyper hyper) in
       let eval =
         B.Eval.of_cardinality model ~n (Hypergraph.join_cardinality catalog hyper)
       in
       let _, oracle = B.Bruteforce.optimize_subset eval (Relset.full n) in
-      Blitz_util.Float_more.approx_equal ~rel:1e-6 oracle (Blitzsplit_hyper.best_cost r))
+      Blitz_util.Float_more.approx_equal ~rel:1e-6 oracle (Blitzsplit.best_cost r))
 
 let prop_extracted_plan_recosts =
   QCheck2.Test.make ~count:100 ~name:"extracted plans re-cost to the reported optimum"
     ~print:hyper_problem_print hyper_problem_gen
     (fun (_, n, catalog, hyper, model) ->
-      let r = Blitzsplit_hyper.optimize model catalog hyper in
-      let plan = Blitzsplit_hyper.best_plan_exn r in
+      let r = Blitzsplit.optimize model catalog (Blitzsplit.Hyper hyper) in
+      let plan = Blitzsplit.best_plan_exn r in
       let eval =
         B.Eval.of_cardinality model ~n (Hypergraph.join_cardinality catalog hyper)
       in
       Relset.equal (Plan.relations plan) (Relset.full n)
       && Blitz_util.Float_more.approx_equal ~rel:1e-6 (B.Eval.cost eval plan)
-           (Blitzsplit_hyper.best_cost r))
+           (Blitzsplit.best_cost r))
 
 let suite =
   [

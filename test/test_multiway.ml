@@ -186,7 +186,7 @@ let test_threshold_multiway () =
   let catalog, graph = clique_problem () in
   let model = Cost_model.kdnl in
   let exact = Blitzsplit.optimize_join ~multiway:true model catalog graph in
-  let o = Threshold.optimize_join ~threshold:10.0 ~multiway:true model catalog graph in
+  let o = Threshold.optimize ~threshold:10.0 ~multiway:true model catalog (Blitzsplit.Join graph) in
   check_float ~rel:1e-12 "thresholded = exact" (Blitzsplit.best_cost exact)
     (Blitzsplit.best_cost o.Threshold.result)
 

@@ -11,8 +11,7 @@ module Blitzsplit = Blitz_core.Blitzsplit
 module Threshold = Blitz_core.Threshold
 module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
-module Parallel = Blitz_parallel.Parallel_blitzsplit
-module Pool = Blitz_parallel.Pool
+module Pool = Blitz_core.Pool
 module Budget = Blitz_guard.Budget
 
 let check_float = Test_helpers.check_float
@@ -37,12 +36,12 @@ let test_gosper_next () =
     List.filter (fun s -> Blitz_bitset.Relset.cardinal s = 2) (List.init 32 Fun.id)
   in
   let rec collect s acc =
-    if s >= 32 then List.rev acc else collect (Parallel.gosper_next s) (s :: acc)
+    if s >= 32 then List.rev acc else collect (Blitzsplit.gosper_next s) (s :: acc)
   in
   Alcotest.(check (list int)) "all 2-subsets of 5 in order" expected (collect 0b11 [])
 
 let test_binomial_table () =
-  let binom = Parallel.binomial_table 10 in
+  let binom = Blitzsplit.binomial_table 10 in
   Alcotest.(check int) "C(10,3)" 120 binom.(10).(3);
   Alcotest.(check int) "C(10,0)" 1 binom.(10).(0);
   Alcotest.(check int) "C(10,10)" 1 binom.(10).(10);
@@ -53,7 +52,7 @@ let test_unrank_matches_gosper () =
      that equivalence is what lets chunks start mid-rank without
      enumerating their predecessors. *)
   let n = 10 in
-  let binom = Parallel.binomial_table n in
+  let binom = Blitzsplit.binomial_table n in
   List.iter
     (fun k ->
       let count = binom.(n).(k) in
@@ -62,8 +61,8 @@ let test_unrank_matches_gosper () =
         Alcotest.(check int)
           (Printf.sprintf "unrank k=%d m=%d" k m)
           !s
-          (Parallel.unrank_subset binom ~k m);
-        if m < count - 1 then s := Parallel.gosper_next !s
+          (Blitzsplit.unrank_subset binom ~k m);
+        if m < count - 1 then s := Blitzsplit.gosper_next !s
       done)
     [ 1; 3; 7; n ]
 
@@ -125,7 +124,7 @@ let prop_parallel_matches_sequential =
         (fun d ->
           let par_ctr = Counters.create () in
           let par =
-            Parallel.optimize_join ~num_domains:d ~min_parallel_n:2 ~counters:par_ctr model
+            Blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 ~counters:par_ctr model
               catalog graph
           in
           let msg what = Printf.sprintf "domains=%d %s" d what in
@@ -149,6 +148,43 @@ let prop_parallel_matches_sequential =
               ("passes", fun c -> c.Counters.passes);
             ])
         domain_axis;
+      (* The thresholded join (the cascade's thresholded tier under
+         --num-domains): several passes on one pool must reproduce the
+         sequential passes exactly, every counter included. *)
+      let threshold = Float.max 1.0 (Blitzsplit.best_cost seq /. 1e3) in
+      let thresholded ?num_domains () =
+        let counters = Counters.create () in
+        let o =
+          Threshold.optimize ?num_domains ~min_parallel_n:2 ~counters ~growth:10.0 ~threshold
+            model catalog (Blitzsplit.Join graph)
+        in
+        (o, counters)
+      in
+      let seq_t, seq_t_ctr = thresholded () in
+      List.iter
+        (fun d ->
+          let par_t, par_t_ctr = thresholded ~num_domains:d () in
+          let msg what = Printf.sprintf "thresholded domains=%d %s" d what in
+          if
+            compare (Blitzsplit.best_cost seq_t.Threshold.result)
+              (Blitzsplit.best_cost par_t.Threshold.result)
+            <> 0
+            || not
+                 (Plan.equal
+                    (Blitzsplit.best_plan_exn seq_t.Threshold.result)
+                    (Blitzsplit.best_plan_exn par_t.Threshold.result))
+          then QCheck2.Test.fail_reportf "%s differs" (msg "cost or plan");
+          if
+            seq_t.Threshold.passes <> par_t.Threshold.passes
+            || compare seq_t.Threshold.final_threshold par_t.Threshold.final_threshold <> 0
+          then
+            QCheck2.Test.fail_reportf "%s: %d passes to %g vs sequential %d to %g" (msg "passes")
+              par_t.Threshold.passes par_t.Threshold.final_threshold seq_t.Threshold.passes
+              seq_t.Threshold.final_threshold;
+          if par_t_ctr <> seq_t_ctr then
+            QCheck2.Test.fail_reportf "%s: %a vs sequential %a" (msg "counters") Counters.pp
+              par_t_ctr Counters.pp seq_t_ctr)
+        [ 2; 4 ];
       true)
 
 let test_parallel_product_identical () =
@@ -157,7 +193,7 @@ let test_parallel_product_identical () =
   List.iter
     (fun d ->
       let par =
-        Parallel.optimize_product ~num_domains:d ~min_parallel_n:2 Cost_model.naive catalog
+        Blitzsplit.optimize_product ~num_domains:d ~min_parallel_n:2 Cost_model.naive catalog
       in
       check_identical ~msg:(Printf.sprintf "product domains=%d" d) seq par;
       Alcotest.(check bool)
@@ -168,10 +204,10 @@ let test_parallel_product_identical () =
 let test_parallel_product_equals_empty_graph_join () =
   let catalog = random_catalog (Rng.create ~seed:11) ~n:9 ~lo:1.0 ~hi:1e3 in
   let product =
-    Parallel.optimize_product ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
+    Blitzsplit.optimize_product ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
   in
   let join =
-    Parallel.optimize_join ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
+    Blitzsplit.optimize_join ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
       (Join_graph.of_edges ~n:9 [])
   in
   check_identical ~msg:"product vs empty-graph join" product join
@@ -181,14 +217,14 @@ let test_parallel_threshold_multipass () =
      must reproduce the sequential multi-pass outcome exactly
      (Table 1's optimum 241000, reached on the same pass). *)
   let seq =
-    Threshold.optimize_product ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
+    Threshold.optimize ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
+      Blitzsplit.Product
   in
   List.iter
     (fun d ->
       let par =
-        Parallel.threshold_optimize_product ~num_domains:d ~min_parallel_n:2 ~growth:10.0
-          ~threshold:100.0
-          Cost_model.naive abcd_catalog
+        Threshold.optimize ~num_domains:d ~min_parallel_n:2 ~growth:10.0 ~threshold:100.0
+          Cost_model.naive abcd_catalog Blitzsplit.Product
       in
       Alcotest.(check int) "same pass count" seq.Threshold.passes par.Threshold.passes;
       check_float "same final threshold" seq.Threshold.final_threshold
@@ -197,6 +233,27 @@ let test_parallel_threshold_multipass () =
         ~msg:(Printf.sprintf "threshold domains=%d" d)
         seq.Threshold.result par.Threshold.result)
     domain_axis
+
+let test_multiway_with_pool_is_sequential () =
+  (* Multiway planning always walks in increasing order: a pool (or a
+     domain budget) must leave the multiway plan bit-identical to the
+     sequential one, n-ary nodes included. *)
+  let catalog, graph =
+    Blitz_workload.Workload.problem
+      (Blitz_workload.Workload.spec ~n:8 ~topology:Topology.Clique ~model:Cost_model.kdnl
+         ~mean_card:100.0 ~variability:0.5)
+  in
+  let seq = Blitzsplit.optimize_join ~multiway:true Cost_model.kdnl catalog graph in
+  let plan = Blitzsplit.best_plan_exn seq in
+  Alcotest.(check bool) "cyclic query gets n-ary nodes" true (Plan.multiway_count plan > 0);
+  Pool.with_pool ~num_domains:2 (fun pool ->
+      let par =
+        Blitzsplit.optimize_join ~pool ~min_parallel_n:2 ~multiway:true Cost_model.kdnl catalog
+          graph
+      in
+      check_identical ~msg:"multiway with a pool" seq par;
+      Alcotest.(check int) "same n-ary node count" (Plan.multiway_count plan)
+        (Plan.multiway_count (Blitzsplit.best_plan_exn par)))
 
 (* {1 Deadline: domain-safe latch and one-chunk abort} *)
 
@@ -229,7 +286,7 @@ let test_parallel_deadline_aborts_within_one_chunk () =
         Blitzsplit.Interrupted
         (fun () ->
           ignore
-            (Parallel.optimize_product ~num_domains:d ~min_parallel_n:2 ~counters:ctr
+            (Blitzsplit.optimize_product ~num_domains:d ~min_parallel_n:2 ~counters:ctr
                ~interrupt:(Budget.interrupt budget) Cost_model.naive catalog));
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d stopped within one chunk (%d subsets)" d
@@ -265,6 +322,8 @@ let suite =
       test_parallel_product_equals_empty_graph_join;
     Alcotest.test_case "parallel threshold multi-pass identical" `Quick
       test_parallel_threshold_multipass;
+    Alcotest.test_case "multiway with a pool = sequential multiway" `Quick
+      test_multiway_with_pool_is_sequential;
     Alcotest.test_case "budget latch sticky until rearmed" `Quick
       test_budget_latch_is_sticky_until_rearmed;
     Alcotest.test_case "deadline aborts parallel run within one chunk" `Quick

@@ -20,7 +20,6 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Dp_table = Blitz_core.Dp_table
 module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
@@ -139,7 +138,7 @@ let prop_kernels_bit_identical =
       List.iter
         (fun d ->
           let par =
-            Parallel_blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold
+            Blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold
               p.model p.catalog p.graph
           in
           check_against
@@ -161,7 +160,7 @@ let tie_case ~what model catalog graph =
   List.iter
     (fun d ->
       let par =
-        Parallel_blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 model catalog graph
+        Blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 model catalog graph
       in
       check ~what:(Printf.sprintf "%s parallel d=%d" what d) par.Blitzsplit.table
         par.Blitzsplit.counters)

@@ -12,7 +12,7 @@ let test_threshold_above_optimum_is_exact () =
      the identical plan in a single pass. *)
   let unconstrained = Blitzsplit.optimize_product Cost_model.naive abcd_catalog in
   let outcome =
-    Threshold.optimize_product ~threshold:300000.0 Cost_model.naive abcd_catalog
+    Threshold.optimize ~threshold:300000.0 Cost_model.naive abcd_catalog Blitzsplit.Product
   in
   Alcotest.(check int) "single pass" 1 outcome.Threshold.passes;
   check_float "same cost" (Blitzsplit.best_cost unconstrained)
@@ -33,7 +33,8 @@ let test_threshold_below_optimum_fails_single_pass () =
 let test_multipass_recovers_optimum () =
   (* Start far below 241000; growth 10 forces several passes. *)
   let outcome =
-    Threshold.optimize_product ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
+    Threshold.optimize ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
+      Blitzsplit.Product
   in
   Alcotest.(check bool) "multiple passes" true (outcome.Threshold.passes > 1);
   check_float "optimum recovered" 241000.0 (Blitzsplit.best_cost outcome.Threshold.result);
@@ -49,7 +50,8 @@ let test_rescue_pass_accounting () =
      infinity and still recovers the exact optimum. *)
   let counters = Counters.create () in
   let outcome =
-    Threshold.optimize_product ~counters ~max_passes:1 ~threshold:1.0 Cost_model.naive abcd_catalog
+    Threshold.optimize ~counters ~max_passes:1 ~threshold:1.0 Cost_model.naive abcd_catalog
+      Blitzsplit.Product
   in
   Alcotest.(check int) "thresholded pass + rescue pass" 2 outcome.Threshold.passes;
   Alcotest.(check int) "counters agree" 2 counters.Counters.passes;
@@ -81,11 +83,14 @@ let test_invalid_arguments () =
       ignore (Blitzsplit.optimize_product ~threshold:0.0 Cost_model.naive abcd_catalog));
   Alcotest.check_raises "bad growth" (Invalid_argument "Threshold: growth must exceed 1")
     (fun () ->
-      ignore (Threshold.optimize_product ~growth:1.0 ~threshold:10.0 Cost_model.naive abcd_catalog));
+      ignore
+        (Threshold.optimize ~growth:1.0 ~threshold:10.0 Cost_model.naive abcd_catalog
+           Blitzsplit.Product));
   Alcotest.check_raises "infinite initial"
     (Invalid_argument "Threshold: initial threshold must be positive and finite") (fun () ->
       ignore
-        (Threshold.optimize_product ~threshold:Float.infinity Cost_model.naive abcd_catalog))
+        (Threshold.optimize ~threshold:Float.infinity Cost_model.naive abcd_catalog
+           Blitzsplit.Product))
 
 (* Correctness of threshold search in general: for any problem and any
    starting threshold, the multi-pass driver returns the unconstrained
@@ -97,7 +102,7 @@ let prop_multipass_equals_unconstrained =
       let unconstrained = Blitzsplit.optimize_join p.model p.catalog p.graph in
       let rng = Rng.create ~seed:(p.seed + 99) in
       let threshold = Rng.log_uniform rng ~lo:1e-2 ~hi:1e8 in
-      let outcome = Threshold.optimize_join ~threshold p.model p.catalog p.graph in
+      let outcome = Threshold.optimize ~threshold p.model p.catalog (Blitzsplit.Join p.graph) in
       Blitz_util.Float_more.approx_equal ~rel:1e-6
         (Blitzsplit.best_cost unconstrained)
         (Blitzsplit.best_cost outcome.Threshold.result))
@@ -122,8 +127,6 @@ let prop_variant_threshold_drivers_exact =
     ~name:"threshold drivers for the eq and hyper variants return the unconstrained optimum"
     ~print:problem_print (problem_gen ~max_n:7)
     (fun p ->
-      let module Eq = Blitz_core.Blitzsplit_eq in
-      let module Hy = Blitz_core.Blitzsplit_hyper in
       let module Equivalence = Blitz_graph.Equivalence in
       let module Hypergraph = Blitz_graph.Hypergraph in
       let n = Catalog.n p.catalog in
@@ -139,18 +142,58 @@ let prop_variant_threshold_drivers_exact =
              clamped)
       in
       let hyper = Hypergraph.of_join_graph graph in
-      let eq_plain = Eq.best_cost (Eq.optimize p.model p.catalog eq) in
-      let eq_thresh =
-        Threshold.optimize_eq ~threshold:1.0 ~growth:1000.0 p.model p.catalog eq
+      let exact predicates =
+        let plain = Blitzsplit.optimize p.model p.catalog predicates in
+        let thresh =
+          Threshold.optimize ~threshold:1.0 ~growth:1000.0 p.model p.catalog predicates
+        in
+        Blitz_util.Float_more.approx_equal ~rel:1e-6 (Blitzsplit.best_cost plain)
+          (Blitzsplit.best_cost thresh.Threshold.result)
       in
-      let hy_plain = Hy.best_cost (Hy.optimize p.model p.catalog hyper) in
-      let hy_thresh =
-        Threshold.optimize_hyper ~threshold:1.0 ~growth:1000.0 p.model p.catalog hyper
-      in
-      Blitz_util.Float_more.approx_equal ~rel:1e-6 eq_plain
-        (Eq.best_cost eq_thresh.Threshold.eq_result)
-      && Blitz_util.Float_more.approx_equal ~rel:1e-6 hy_plain
-           (Hy.best_cost hy_thresh.Threshold.hyper_result))
+      exact (Blitzsplit.Classes eq) && exact (Blitzsplit.Hyper hyper))
+
+(* NaN compares false with everything, so a [threshold <= 0.0] guard
+   lets it through and the pass silently prunes every split. *)
+let test_nan_threshold_rejected () =
+  let graph = Join_graph.of_edges ~n:4 [ (0, 1, 0.1); (1, 2, 0.2); (2, 3, 0.3) ] in
+  let equivalence =
+    Blitz_graph.Equivalence.of_predicates ~n:4
+      [ ((0, "a"), (1, "a"), 0.1); ((1, "b"), (2, "b"), 0.2); ((2, "c"), (3, "c"), 0.3) ]
+  in
+  let entries =
+    [
+      ( "sequential",
+        fun () ->
+          Blitzsplit.optimize_join ~threshold:Float.nan Cost_model.naive abcd_catalog graph );
+      ( "2 domains",
+        fun () ->
+          Blitzsplit.optimize_join ~num_domains:2 ~min_parallel_n:2 ~threshold:Float.nan
+            Cost_model.naive abcd_catalog graph );
+      ( "equivalence classes",
+        fun () ->
+          Blitzsplit.optimize ~threshold:Float.nan Cost_model.naive abcd_catalog
+            (Blitzsplit.Classes equivalence) );
+      ( "hypergraph",
+        fun () ->
+          Blitzsplit.optimize ~threshold:Float.nan Cost_model.naive abcd_catalog
+            (Blitzsplit.Hyper (Blitz_graph.Hypergraph.of_join_graph graph)) );
+    ]
+  in
+  List.iter
+    (fun (what, run) ->
+      Alcotest.check_raises what (Invalid_argument "Blitzsplit: threshold must be positive")
+        (fun () -> ignore (run ())))
+    entries;
+  Alcotest.check_raises "thresholded driver"
+    (Invalid_argument "Threshold: initial threshold must be positive and finite") (fun () ->
+      ignore
+        (Threshold.optimize ~threshold:Float.nan Cost_model.naive abcd_catalog
+           Blitzsplit.Product));
+  Alcotest.check_raises "NaN growth" (Invalid_argument "Threshold: growth must exceed 1")
+    (fun () ->
+      ignore
+        (Threshold.optimize ~growth:Float.nan ~threshold:10.0 Cost_model.naive abcd_catalog
+           Blitzsplit.Product))
 
 let suite =
   [
@@ -163,6 +206,7 @@ let suite =
     Alcotest.test_case "skip counters" `Quick test_threshold_skips_counted;
     Alcotest.test_case "thresholds reduce split-loop work" `Quick test_threshold_reduces_work;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
+    Alcotest.test_case "NaN threshold rejected by every entry" `Quick test_nan_threshold_rejected;
     QCheck_alcotest.to_alcotest prop_multipass_equals_unconstrained;
     QCheck_alcotest.to_alcotest prop_threshold_monotone;
     QCheck_alcotest.to_alcotest prop_variant_threshold_drivers_exact;
