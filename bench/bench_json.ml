@@ -6,7 +6,7 @@
 
      { "schema": "blitz-bench/1",
        "config": { "n": ..., "fast": ... },
-       "records": [ { "experiment": "...", ... }, ... ] }
+       "records": [ { "experiment": "...", ..., "git_rev": "...", "cores": k }, ... ] }
 
    Records preserve emission order, so a BENCH_*.json file diffs stably
    run-to-run (timing fields aside) and future PRs can accrete their
@@ -21,9 +21,29 @@ let set_output path = output := Some path
 
 let enabled () = !output <> None
 
+(* Provenance stamped on every record, so a committed artifact names
+   the tree and the machine it came from: the checkout's revision
+   ("-dirty" when it has uncommitted changes) and the cores the runtime
+   reports. *)
+let git_rev =
+  lazy
+    (match Unix.open_process_in "git describe --always --dirty --abbrev=40 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic ->
+      let rev = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if rev = "" then "unknown" else rev)
+
 let emit ~experiment fields =
   if enabled () then
-    records := Json.Obj (("experiment", Json.String experiment) :: fields) :: !records
+    records :=
+      Json.Obj
+        ((("experiment", Json.String experiment) :: fields)
+        @ [
+            ("git_rev", Json.String (Lazy.force git_rev));
+            ("cores", Json.Int (Domain.recommended_domain_count ()));
+          ])
+      :: !records
 
 let write () =
   match !output with

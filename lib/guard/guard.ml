@@ -44,29 +44,24 @@ let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 let cacheable_tiers = [ Degrade.Exact; Degrade.Thresholded ]
 let cacheable_names = List.map Degrade.tier_name cacheable_tiers
 
-(* All entry points funnel here.  The budget is (re-)armed exactly once,
-   so every tier of the cascade draws down the same allowance; the
-   catch-all converts any escaped exception — there should be none, but
-   a resilient driver does not get to assume that — into a typed error
-   rather than unwinding through the caller. *)
-let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model catalog graph
-    repairs =
-  Budget.start budget;
-  (* Fabricated cardinalities (Sanitize defaulted them) mean every
-     cost-based tier would optimize placeholder numbers; unless the
-     caller pinned a cascade explicitly, go straight to the
-     estimate-free tiers. *)
-  let cascade =
-    match cascade with
-    | Some _ -> cascade
-    | None when Sanitize.fabricated_stats repairs -> Some Degrade.fabricated_cascade
-    | None -> None
-  in
-  let cache_session = if repairs = [] then session else None in
-  let problem = Blitz_engine.Registry.problem ~graph catalog in
+type prepared = {
+  model : Cost_model.t;
+  clean : Sanitize.clean;
+  multiway : bool option;
+  cache_tag : string option;
+}
+
+type stage = Hit of outcome | Miss of prepared
+
+(* The cache stage: the one cache decision point.  [clock] is armed by
+   the caller; a hit's provenance reports the time since. *)
+let cache_stage ~clock ~session ~multiway ?cache_tag model (clean : Sanitize.clean) =
+  let problem = Blitz_engine.Registry.problem ~graph:clean.Sanitize.graph clean.Sanitize.catalog in
   let hit =
-    Option.bind cache_session (fun s ->
-        Engine.cache_lookup ~model ?multiway ?cache_tag s ~optimizers:cacheable_names problem)
+    if clean.Sanitize.repairs <> [] then None
+    else
+      Option.bind session (fun s ->
+          Engine.cache_lookup ~model ?multiway ?cache_tag s ~optimizers:cacheable_names problem)
   in
   match hit with
   | Some (name, hit) ->
@@ -77,77 +72,125 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         Degrade.winner = tier;
         winner_cost = cost;
         attempts =
-          [ { Degrade.tier; status = Degrade.Produced cost; elapsed_ms = Budget.elapsed_ms budget } ];
-        total_ms = Budget.elapsed_ms budget;
+          [
+            { Degrade.tier; status = Degrade.Produced cost; elapsed_ms = Budget.elapsed_ms clock };
+          ];
+        total_ms = Budget.elapsed_ms clock;
       }
     in
-    Ok
+    Hit
       {
         plan = hit.Blitz_engine.Engine.Plan_cache.plan;
         cost;
         provenance;
+        repairs = [];
+        catalog = clean.Sanitize.catalog;
+        graph = clean.Sanitize.graph;
+        from_cache = true;
+      }
+  | None -> Miss { model; clean; multiway; cache_tag }
+
+(* The solve stage, under an armed budget.  The catch-all converts any
+   escaped exception — there should be none, but a resilient driver
+   does not get to assume that — into a typed error rather than
+   unwinding through the caller. *)
+let solve_armed ~budget ~cascade ~seed ~num_domains ~session p =
+  let { model; clean = { Sanitize.catalog; graph; repairs }; multiway; cache_tag } = p in
+  (* Fabricated cardinalities (Sanitize defaulted them) mean every
+     cost-based tier would optimize placeholder numbers; unless the
+     caller pinned a cascade explicitly, go straight to the
+     estimate-free tiers. *)
+  let cascade =
+    match cascade with
+    | Some _ -> cascade
+    | None when Sanitize.fabricated_stats repairs -> Some Degrade.fabricated_cascade
+    | None -> None
+  in
+  (* A session plugs its pooled DP table and spawned domain pool into
+     the cascade; its domain count is the default when the caller gave
+     none.  Plans and costs are bit-identical with or without it. *)
+  let arena = Option.map Engine.arena session in
+  let pool = Option.bind session Engine.pool in
+  let cache_bytes =
+    match Option.bind session Engine.cache with
+    | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
+    | None -> None
+  in
+  let num_domains =
+    match (num_domains, session) with
+    | (Some _ as d), _ -> d
+    | None, Some s -> Some (Engine.num_domains s)
+    | None, None -> None
+  in
+  match
+    Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget model
+      catalog graph
+  with
+  | Ok (plan, provenance) ->
+    let winner = provenance.Degrade.winner in
+    (match session with
+    | Some s when repairs = [] && List.mem winner cacheable_tiers ->
+      Engine.cache_record ~model ?multiway ?cache_tag s ~optimizer:(Degrade.tier_name winner)
+        (Blitz_engine.Registry.problem ~graph catalog)
+        (Blitz_engine.Registry.basic ~plan:(Some plan) ~cost:provenance.Degrade.winner_cost ())
+    | _ -> ());
+    Ok
+      {
+        plan;
+        cost = provenance.Degrade.winner_cost;
+        provenance;
         repairs;
         catalog;
         graph;
-        from_cache = true;
+        from_cache = false;
       }
-  | None -> (
-    (* A session plugs its pooled DP table and spawned domain pool into
-       the cascade; its domain count is the default when the caller gave
-       none.  Plans and costs are bit-identical with or without it. *)
-    let arena = Option.map Engine.arena session in
-    let pool = Option.bind session Engine.pool in
-    let cache_bytes =
-      match Option.bind session Engine.cache with
-      | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
-      | None -> None
-    in
-    let num_domains =
-      match (num_domains, session) with
-      | (Some _ as d), _ -> d
-      | None, Some s -> Some (Engine.num_domains s)
-      | None, None -> None
-    in
-    match
-      Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget
-        model catalog graph
-    with
-    | Ok (plan, provenance) ->
-      let winner = provenance.Degrade.winner in
-      (match cache_session with
-      | Some s when List.mem winner cacheable_tiers ->
-        Engine.cache_record ~model ?multiway ?cache_tag s ~optimizer:(Degrade.tier_name winner)
-          problem
-          (Blitz_engine.Registry.basic ~plan:(Some plan) ~cost:provenance.Degrade.winner_cost ())
-      | _ -> ());
-      Ok
-        {
-          plan;
-          cost = provenance.Degrade.winner_cost;
-          provenance;
-          repairs;
-          catalog;
-          graph;
-          from_cache = false;
-        }
-    | Error attempts -> Error (No_tier_produced attempts)
-    | exception exn -> Error (Internal (Printexc.to_string exn)))
+  | Error attempts -> Error (No_tier_produced attempts)
+  | exception exn -> Error (Internal (Printexc.to_string exn))
 
-let optimize ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model catalog
-    graph =
+let solve ?budget ?session ?cascade ?seed ?num_domains p =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match Sanitize.check_pair catalog graph with
-  | Error issues -> Error (Invalid_input issues)
-  | Ok clean ->
-    drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model
-      clean.Sanitize.catalog clean.Sanitize.graph clean.Sanitize.repairs
+  Budget.start budget;
+  solve_armed ~budget ~cascade ~seed ~num_domains ~session p
 
-let optimize_input ?budget ?session ?policy ?cascade ?seed ?num_domains ?multiway ?cache_tag
-    model ~relations ~edges () =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
+let check_pair catalog graph =
+  Result.map_error (fun issues -> Invalid_input issues) (Sanitize.check_pair catalog graph)
+
+let check_input ?policy ~relations ~edges () =
   match Sanitize.check ?policy ~relations ~edges () with
   | Error issues -> Error (Invalid_input issues)
   | exception exn -> Error (Internal (Printexc.to_string exn))
-  | Ok clean ->
-    drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model
-      clean.Sanitize.catalog clean.Sanitize.graph clean.Sanitize.repairs
+  | Ok clean -> Ok clean
+
+let armed budget =
+  Budget.start budget;
+  budget
+
+let lookup ?session ?multiway ?cache_tag model catalog graph =
+  Result.map
+    (cache_stage ~clock:(armed (Budget.unlimited ())) ~session ~multiway ?cache_tag model)
+    (check_pair catalog graph)
+
+let lookup_input ?session ?policy ?multiway ?cache_tag model ~relations ~edges () =
+  Result.map
+    (cache_stage ~clock:(armed (Budget.unlimited ())) ~session ~multiway ?cache_tag model)
+    (check_input ?policy ~relations ~edges ())
+
+(* Both composed entry points arm the budget exactly once, before the
+   cache stage, so every tier of the cascade draws down the same
+   allowance. *)
+let drive ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model clean =
+  let budget = armed (match budget with Some b -> b | None -> Budget.unlimited ()) in
+  match cache_stage ~clock:budget ~session ~multiway ?cache_tag model clean with
+  | Hit o -> Ok o
+  | Miss p -> solve_armed ~budget ~cascade ~seed ~num_domains ~session p
+
+let optimize ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model catalog
+    graph =
+  Result.bind (check_pair catalog graph)
+    (drive ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model)
+
+let optimize_input ?budget ?session ?policy ?cascade ?seed ?num_domains ?multiway ?cache_tag
+    model ~relations ~edges () =
+  Result.bind
+    (check_input ?policy ~relations ~edges ())
+    (drive ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model)

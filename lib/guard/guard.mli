@@ -15,7 +15,15 @@
     no cascade, the cost-based tiers are bypassed entirely in favour of
     {!Degrade.fabricated_cascade} — structure-only planning is the only
     honest option on made-up numbers.  {!Chaos} exists to attack this
-    contract in tests. *)
+    contract in tests.
+
+    Every request runs in two stages, which {!optimize} and
+    {!optimize_input} compose and a server may run on different
+    domains: the {e cache stage} ({!lookup}, {!lookup_input}) sanitizes
+    and consults the session's plan cache once, returning a {!Hit} or a
+    prepared {!Miss}; the {e solve stage} ({!solve}) walks the
+    {!Degrade} cascade on a miss and stores a cacheable winner.  The
+    cache stage is the only place a cache lookup happens. *)
 
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
@@ -48,6 +56,60 @@ type error =
 val error_message : error -> string
 val pp_error : Format.formatter -> error -> unit
 
+type prepared
+(** A clean input whose cache lookup ran and missed (or could not run):
+    the sanitized catalog, graph and repairs, with the cost model,
+    [multiway] flag and [cache_tag] the lookup used, so {!solve} stores
+    its winner under the key that was looked up. *)
+
+type stage =
+  | Hit of outcome  (** Answered from the plan cache; no tier ran. *)
+  | Miss of prepared  (** Ready for {!solve}. *)
+
+val lookup :
+  ?session:Blitz_engine.Engine.t ->
+  ?multiway:bool ->
+  ?cache_tag:string ->
+  Cost_model.t ->
+  Catalog.t ->
+  Join_graph.t ->
+  (stage, error) result
+(** The cache stage on already-constructed inputs: sanitize, then one
+    [Engine.cache_lookup] on [session]'s cache for the cacheable tiers
+    (exact, thresholded) when the input needed no repair.  Without a
+    session, a cache or a clean input it returns [Miss] without looking
+    up.  Runs no optimizer, so it costs a fingerprint and a hash probe;
+    a session used only for this stage never allocates a DP table. *)
+
+val lookup_input :
+  ?session:Blitz_engine.Engine.t ->
+  ?policy:Sanitize.policy ->
+  ?multiway:bool ->
+  ?cache_tag:string ->
+  Cost_model.t ->
+  relations:(string * float) list ->
+  edges:(int * int * float) list ->
+  unit ->
+  (stage, error) result
+(** {!lookup} on raw statistics, sanitized under [policy] (default
+    {!Sanitize.lenient}). *)
+
+val solve :
+  ?budget:Budget.t ->
+  ?session:Blitz_engine.Engine.t ->
+  ?cascade:Degrade.tier list ->
+  ?seed:int ->
+  ?num_domains:int ->
+  prepared ->
+  (outcome, error) result
+(** The solve stage: arm [budget] (default unlimited), walk the cascade
+    as {!optimize} does, and record an exact or thresholded winner in
+    [session]'s cache when the input needed no repair.  It
+    performs no lookup, so a request split across the two stages probes
+    the cache exactly once.  [session] may differ from the one the
+    lookup ran on; sessions sharing one [Plan_cache] see each other's
+    stores. *)
+
 val optimize :
   ?budget:Budget.t ->
   ?session:Blitz_engine.Engine.t ->
@@ -61,8 +123,9 @@ val optimize :
   Join_graph.t ->
   (outcome, error) result
 (** Optimize already-constructed inputs under [budget] (default:
-    unlimited).  The budget is re-armed on entry, so one [Budget.t] can
-    be reused across calls.  With no deadline and default cascade the
+    unlimited): {!lookup}, then {!solve} on a miss.  The budget is
+    re-armed once on entry, so one [Budget.t] can be reused across
+    calls.  With no deadline and default cascade the
     result matches [Blitzsplit.optimize_join] exactly — including with
     [num_domains > 1], which runs the DP tiers rank-parallel on that
     many domains with bit-identical results (see {!Degrade.run_tier}).

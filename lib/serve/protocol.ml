@@ -5,6 +5,41 @@ module Topology = Blitz_graph.Topology
 let version = 1
 let max_line_bytes = 1024 * 1024
 
+(* ---- framing ---- *)
+
+(* [tail] holds the unterminated line's pieces, newest first; [len] is
+   their total length. *)
+type frame = Open of { tail : string list; len : int } | Overflowed
+
+type frame_event = Line of string | Overlong
+
+let empty_frame = Open { tail = []; len = 0 }
+
+let strip_cr s =
+  let n = String.length s in
+  if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
+
+let frame f chunk =
+  match f with
+  | Overflowed -> ([], Overflowed)
+  | Open { tail; len } ->
+    let n = String.length chunk in
+    let rec go tail len start acc =
+      match String.index_from_opt chunk start '\n' with
+      | None ->
+        let rest = n - start in
+        if len + rest > max_line_bytes then (List.rev (Overlong :: acc), Overflowed)
+        else
+          let tail = if rest = 0 then tail else String.sub chunk start rest :: tail in
+          (List.rev acc, Open { tail; len = len + rest })
+      | Some i when len + (i - start) > max_line_bytes -> (List.rev (Overlong :: acc), Overflowed)
+      | Some i ->
+        let piece = String.sub chunk start (i - start) in
+        let line = if tail = [] then piece else String.concat "" (List.rev (piece :: tail)) in
+        go [] 0 (i + 1) (Line (strip_cr line) :: acc)
+    in
+    go tail len 0 []
+
 type query =
   | Inline of { relations : (string * float) list; edges : (int * int * float) list }
   | Generated of { n : int; topology : string; mean_card : float; variability : float }

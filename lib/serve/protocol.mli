@@ -25,6 +25,30 @@ val max_line_bytes : int
 (** Longest request line the server accepts (1 MiB).  Longer lines are
     rejected with a [parse_error] before JSON decoding. *)
 
+(** {1 Framing} *)
+
+type frame
+(** The unterminated tail of one connection's byte stream. *)
+
+type frame_event =
+  | Line of string
+      (** One request line, without its ['\n'] and one trailing
+          ['\r']; blank lines are reported too. *)
+  | Overlong
+      (** A line grew past {!max_line_bytes} bytes (counting a trailing
+          ['\r']).  It is the stream's last event: {!frame} drops all
+          later input. *)
+
+val empty_frame : frame
+
+val frame : frame -> string -> frame_event list * frame
+(** [frame f chunk] appends one read's bytes to the stream: the lines
+    it completes, in order, and the new tail.  Pure, and linear in
+    [chunk] plus the completed lines — the tail is kept as a list of
+    pieces, never rescanned — so a megabyte line costs one pass however
+    the network splits it.  Any split of a byte stream into chunks
+    yields the same events. *)
+
 (** {1 Requests} *)
 
 type query =

@@ -58,14 +58,18 @@ let config ?(host = "127.0.0.1") ?(port = 0) ?(workers = 1) ?(tenants = []) ?mod
     seed;
   }
 
+(* A job reaches a worker either as the decoded query, when the loop
+   ran no cache stage for it, or as the loop's prepared cache miss. *)
+type work = Query of Protocol.query | Prepared of Guard.prepared
+
 type job = {
   conn_id : int;
   rid : Json.t;
   tenant : Tenant.t;
   call : Protocol.call;
-  query : Protocol.query;
+  work : work;
   multiway : bool;
-  enqueued_at : float;
+  admitted_at : float;
 }
 
 type tenant_stat = { mutable served : int; mutable shed : int; mutable quota_rejected : int }
@@ -103,6 +107,7 @@ type t = {
   c_stats : Metrics.counter;
   c_sheds : Metrics.counter;
   c_overload : Metrics.counter;
+  c_loop_hits : Metrics.counter;
   mutable loop_d : unit Domain.t option;
   mutable worker_ds : unit Domain.t list;
 }
@@ -123,7 +128,9 @@ let stat_for t name =
     s
 
 (* ------------------------------------------------------------------ *)
-(* Worker side: run one job through the Guard under the tenant budget. *)
+(* Running a job: the Guard's two stages, the reply line and the
+   per-job accounting, shared by the workers and the loop's inline
+   answers. *)
 
 let status_string = function
   | Degrade.Produced _ -> "produced"
@@ -164,42 +171,49 @@ let rec tree_json model catalog graph names (p : Plan.t) =
         ("children", Json.List (List.map (tree_json model catalog graph names) inputs));
       ]
 
-let run_job t session (job : job) ~shed =
+(* The cache stage for one job's query, on [session]'s cache. *)
+let lookup t session (job : job) query =
+  let cache_tag = job.tenant.Tenant.name and multiway = job.multiway in
+  match query with
+  | Protocol.Inline { relations; edges } ->
+    Result.map_error
+      (fun e -> `Guard e)
+      (Guard.lookup_input ~session ~multiway ~cache_tag t.cfg.model ~relations ~edges ())
+  | Protocol.Generated { n; topology; mean_card; variability } -> (
+    match Topology.of_string topology with
+    | Error msg -> Error (`Bad msg)
+    | Ok topo -> (
+      match Workload.spec ~n ~topology:topo ~model:t.cfg.model ~mean_card ~variability with
+      | exception Invalid_argument msg -> Error (`Bad msg)
+      | spec ->
+        let catalog, graph = Workload.problem spec in
+        Result.map_error
+          (fun e -> `Guard e)
+          (Guard.lookup ~session ~multiway ~cache_tag t.cfg.model catalog graph)))
+
+(* The solve stage under the tenant's budget; [shed] clamps its
+   deadline. *)
+let solve t session (job : job) ~shed prepared =
   let tenant = job.tenant in
   let deadline_ms = if shed then Some t.cfg.shed_deadline_ms else tenant.Tenant.deadline_ms in
   let max_table_bytes =
     Some (Option.value tenant.Tenant.max_table_bytes ~default:t.cfg.default_table_bytes)
   in
   let budget = Budget.create ?deadline_ms ?max_table_bytes () in
-  let cache_tag = tenant.Tenant.name in
-  let result =
-    match job.query with
-    | Protocol.Inline { relations; edges } ->
-      `Guard
-        (Guard.optimize_input ~budget ~session ~seed:t.cfg.seed ~multiway:job.multiway ~cache_tag
-           t.cfg.model ~relations ~edges ())
-    | Protocol.Generated { n; topology; mean_card; variability } -> (
-      match Topology.of_string topology with
-      | Error msg -> `Bad msg
-      | Ok topo -> (
-        match Workload.spec ~n ~topology:topo ~model:t.cfg.model ~mean_card ~variability with
-        | exception Invalid_argument msg -> `Bad msg
-        | spec ->
-          let catalog, graph = Workload.problem spec in
-          `Guard
-            (Guard.optimize ~budget ~session ~seed:t.cfg.seed ~multiway:job.multiway ~cache_tag
-               t.cfg.model catalog graph)))
-  in
-  let elapsed_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1000. in
+  Result.map_error (fun e -> `Guard e) (Guard.solve ~budget ~session ~seed:t.cfg.seed prepared)
+
+(* The reply line for a finished job, whichever domain finished it. *)
+let render t (job : job) ~shed result =
+  let elapsed_ms = (Unix.gettimeofday () -. job.admitted_at) *. 1000. in
   match result with
-  | `Bad msg ->
+  | Error (`Bad msg) ->
     Protocol.error_response ~id:job.rid ~code:"invalid_request"
       ~message:(Err.format ~scope:"serve" "%s" msg)
-  | `Guard (Error (Guard.Invalid_input _ as e)) ->
+  | Error (`Guard (Guard.Invalid_input _ as e)) ->
     Protocol.error_response ~id:job.rid ~code:"invalid_input" ~message:(Guard.error_message e)
-  | `Guard (Error e) ->
+  | Error (`Guard e) ->
     Protocol.error_response ~id:job.rid ~code:"internal" ~message:(Guard.error_message e)
-  | `Guard (Ok o) ->
+  | Ok o ->
     let names = Catalog.names o.Guard.catalog in
     let p = o.Guard.provenance in
     let base =
@@ -226,11 +240,42 @@ let run_job t session (job : job) ~shed =
     in
     Protocol.ok_response ~id:job.rid (Json.Obj fields)
 
-let run_job_safe t session job ~shed =
-  try run_job t session job ~shed
-  with exn ->
-    Protocol.error_response ~id:job.rid ~code:"internal"
-      ~message:(Err.format ~scope:"serve" "unexpected failure: %s" (Printexc.to_string exn))
+let internal_error (job : job) exn =
+  Protocol.error_response ~id:job.rid ~code:"internal"
+    ~message:(Err.format ~scope:"serve" "unexpected failure: %s" (Printexc.to_string exn))
+
+let run_job t session (job : job) ~shed =
+  try
+    let stage =
+      match job.work with
+      | Prepared p -> Ok (Guard.Miss p)
+      | Query q -> lookup t session job q
+    in
+    render t job ~shed
+      (match stage with
+      | Ok (Guard.Hit o) -> Ok o
+      | Ok (Guard.Miss p) -> solve t session job ~shed p
+      | Error _ as e -> e)
+  with exn -> internal_error job exn
+
+(* Per-job accounting, shared by the worker and the loop's inline
+   answers.  [observe] publishes the metrics; [count] bumps the served
+   counters and must run with [t.lock] held. *)
+let observe t (job : job) ~shed =
+  (match Hashtbl.find_opt t.tmetrics job.tenant.Tenant.name with
+  | Some tm ->
+    Metrics.incr
+      (match job.call with Protocol.Optimize -> tm.m_optimize | Protocol.Explain -> tm.m_explain);
+    if shed then Metrics.incr tm.m_shed
+  | None -> ());
+  if shed then Metrics.incr t.c_sheds;
+  Metrics.observe t.h_latency (Unix.gettimeofday () -. job.admitted_at)
+
+let count t (job : job) ~shed =
+  t.served <- t.served + 1;
+  let st = stat_for t job.tenant.Tenant.name in
+  st.served <- st.served + 1;
+  if shed then st.shed <- st.shed + 1
 
 let worker t () =
   let session =
@@ -255,23 +300,11 @@ let worker t () =
              the deadline so the cascade lands on its deadline-exempt
              tiers and the backlog drains instead of compounding. *)
           let shed = depth >= t.cfg.shed_queue in
-          let line = run_job_safe t session job ~shed in
-          (match Hashtbl.find_opt t.tmetrics job.tenant.Tenant.name with
-          | Some tm ->
-            Metrics.incr
-              (match job.call with
-              | Protocol.Optimize -> tm.m_optimize
-              | Protocol.Explain -> tm.m_explain);
-            if shed then Metrics.incr tm.m_shed
-          | None -> ());
-          if shed then Metrics.incr t.c_sheds;
-          Metrics.observe t.h_latency (Unix.gettimeofday () -. job.enqueued_at);
+          let line = run_job t session job ~shed in
+          observe t job ~shed;
           Mutex.lock t.lock;
           t.busy <- t.busy - 1;
-          t.served <- t.served + 1;
-          let st = stat_for t job.tenant.Tenant.name in
-          st.served <- st.served + 1;
-          if shed then st.shed <- st.shed + 1;
+          count t job ~shed;
           Queue.push (job.conn_id, line) t.out;
           Mutex.unlock t.lock;
           wake t;
@@ -288,10 +321,12 @@ type mode = Sniff | Ndjson | Http
 type conn = {
   fd : Unix.file_descr;
   cid : int;
-  inbuf : Buffer.t;
+  inbuf : Buffer.t;  (* Sniff and Http modes only *)
+  mutable frame : Protocol.frame;  (* Ndjson mode *)
   outq : string Queue.t;
   mutable pending : string;
   mutable poff : int;
+  mutable out_bytes : int;  (* unwritten bytes in [pending] and [outq] *)
   mutable mode : mode;
   mutable inflight : int;  (* jobs queued/running for this connection *)
   mutable eof : bool;
@@ -299,7 +334,18 @@ type conn = {
   mutable broken : bool;  (* close now, drop output *)
 }
 
-let has_output c = c.pending <> "" || not (Queue.is_empty c.outq)
+(* Connections beyond this many are refused with one typed line.  Every
+   descriptor passed to [Unix.select] must lie below FD_SETSIZE (1024);
+   the margin covers the listening socket, the wake pipe, the standard
+   streams and a refused connection's own descriptor. *)
+let max_connections = 1000
+
+let has_output c = c.out_bytes > 0
+
+(* A connection whose reader has fallen this far behind is not read
+   until its output drains: inline answers never pass through
+   [max_queue], so this is what bounds a non-reading client. *)
+let backlogged c = c.out_bytes > Protocol.max_line_bytes
 
 let rec try_flush c =
   if c.broken then ()
@@ -315,6 +361,7 @@ let rec try_flush c =
     match Unix.write_substring c.fd c.pending c.poff len with
     | n ->
       c.poff <- c.poff + n;
+      c.out_bytes <- c.out_bytes - n;
       if c.poff >= String.length c.pending then begin
         c.pending <- "";
         c.poff <- 0;
@@ -323,14 +370,18 @@ let rec try_flush c =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> c.broken <- true
 
+let push_out c s =
+  Queue.push s c.outq;
+  c.out_bytes <- c.out_bytes + String.length s;
+  try_flush c
+
 let send_line t c ~counts line =
   if counts then begin
     Mutex.lock t.lock;
     t.served <- t.served + 1;
     Mutex.unlock t.lock
   end;
-  Queue.push (line ^ "\n") c.outq;
-  try_flush c
+  push_out c (line ^ "\n")
 
 let health_json t =
   Mutex.lock t.lock;
@@ -390,7 +441,60 @@ let stats_json t =
       ("cache", cache);
     ]
 
-let handle_line t c line =
+let enqueue t c (job : job) =
+  Mutex.lock t.lock;
+  let depth = Queue.length t.work in
+  if depth >= t.cfg.max_queue then begin
+    Mutex.unlock t.lock;
+    Metrics.incr t.c_overload;
+    send_line t c ~counts:true
+      (Protocol.error_response ~id:job.rid ~code:"overloaded"
+         ~message:(Err.format ~scope:"serve" "work queue is full (%d requests)" t.cfg.max_queue))
+  end
+  else begin
+    Queue.push job t.work;
+    c.inflight <- c.inflight + 1;
+    Condition.signal t.work_cond;
+    Mutex.unlock t.lock;
+    Metrics.set t.g_queue (float_of_int (depth + 1))
+  end
+
+(* The loop runs the cache stage itself only when a hit is possible —
+   the cacheable tiers (exact, thresholded) plan at most
+   [Dp_table.max_relations] relations, which also bounds the problem
+   the loop builds and fingerprints — and when answering now keeps this
+   connection's replies in arrival order. *)
+let inline_stage c (query : Protocol.query) =
+  c.inflight = 0
+  &&
+  match query with
+  | Protocol.Inline { relations; _ } ->
+    List.compare_length_with relations Blitz_core.Dp_table.max_relations <= 0
+  | Protocol.Generated { n; _ } -> n <= Blitz_core.Dp_table.max_relations
+
+(* Answer a job on the loop domain: no queue, no worker, no wake. *)
+let answer t c (job : job) result =
+  let line = try render t job ~shed:false result with exn -> internal_error job exn in
+  observe t job ~shed:false;
+  Mutex.lock t.lock;
+  count t job ~shed:false;
+  Mutex.unlock t.lock;
+  send_line t c ~counts:false line
+
+let dispatch t session c (job : job) query =
+  match session with
+  | Some s when inline_stage c query -> (
+    match lookup t s job query with
+    | Ok (Guard.Miss p) -> enqueue t c { job with work = Prepared p }
+    | Ok (Guard.Hit o) ->
+      Metrics.incr t.c_loop_hits;
+      answer t c job (Ok o)
+    | Error _ as e -> answer t c job e
+    | exception exn ->
+      answer t c job (Error (`Guard (Guard.Internal (Printexc.to_string exn)))))
+  | Some _ | None -> enqueue t c job
+
+let handle_line t session c line =
   match Protocol.decode line with
   | Error rej ->
     Metrics.incr t.c_decode_errors;
@@ -424,35 +528,18 @@ let handle_line t c line =
             (Protocol.error_response ~id:env.Protocol.id ~code:"quota_exhausted"
                ~message:(Err.format ~scope:"serve" "tenant %S is over its request quota" tname))
         end
-        else begin
-          Mutex.lock t.lock;
-          let depth = Queue.length t.work in
-          if depth >= t.cfg.max_queue then begin
-            Mutex.unlock t.lock;
-            Metrics.incr t.c_overload;
-            send_line t c ~counts:true
-              (Protocol.error_response ~id:env.Protocol.id ~code:"overloaded"
-                 ~message:
-                   (Err.format ~scope:"serve" "work queue is full (%d requests)" t.cfg.max_queue))
-          end
-          else begin
-            Queue.push
-              {
-                conn_id = c.cid;
-                rid = env.Protocol.id;
-                tenant;
-                call;
-                query;
-                multiway;
-                enqueued_at = Unix.gettimeofday ();
-              }
-              t.work;
-            c.inflight <- c.inflight + 1;
-            Condition.signal t.work_cond;
-            Mutex.unlock t.lock;
-            Metrics.set t.g_queue (float_of_int (depth + 1))
-          end
-        end))
+        else
+          dispatch t session c
+            {
+              conn_id = c.cid;
+              rid = env.Protocol.id;
+              tenant;
+              call;
+              work = Query query;
+              multiway;
+              admitted_at = Unix.gettimeofday ();
+            }
+            query))
 
 let find_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -481,64 +568,87 @@ let handle_http c =
         code reason (String.length body) body
     in
     Buffer.clear c.inbuf;
-    Queue.push resp c.outq;
     c.closing <- true;
-    try_flush c
+    push_out c resp
 
-let process_lines t c =
-  let data = Buffer.contents c.inbuf in
-  if String.contains data '\n' then begin
-    let parts = String.split_on_char '\n' data in
-    let rec last = function [ x ] -> x | _ :: rest -> last rest | [] -> "" in
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.inbuf (last parts);
-    let rec go = function
-      | [] | [ _ ] -> ()
-      | line :: rest ->
-        let line =
-          if String.length line > 0 && line.[String.length line - 1] = '\r' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        if String.trim line <> "" then handle_line t c line;
-        go rest
-    in
-    go parts
-  end;
-  if Buffer.length c.inbuf > Protocol.max_line_bytes then begin
-    send_line t c ~counts:false
-      (Protocol.error_response ~id:Json.Null ~code:"parse_error"
-         ~message:
-           (Err.format ~scope:"serve" "request line exceeds %d bytes" Protocol.max_line_bytes));
-    Buffer.clear c.inbuf;
-    c.closing <- true
-  end
+let process_lines t session c chunk =
+  let events, frame = Protocol.frame c.frame chunk in
+  c.frame <- frame;
+  List.iter
+    (function
+      | Protocol.Line line -> if String.trim line <> "" then handle_line t session c line
+      | Protocol.Overlong ->
+        send_line t c ~counts:false
+          (Protocol.error_response ~id:Json.Null ~code:"parse_error"
+             ~message:
+               (Err.format ~scope:"serve" "request line exceeds %d bytes" Protocol.max_line_bytes));
+        c.closing <- true)
+    events
 
-let process_input t c =
-  (match c.mode with
-  | Sniff ->
+let process_input t session c chunk =
+  match c.mode with
+  | Ndjson -> process_lines t session c chunk
+  | Http ->
+    Buffer.add_string c.inbuf chunk;
+    handle_http c
+  | Sniff -> (
+    Buffer.add_string c.inbuf chunk;
     let data = Buffer.contents c.inbuf in
     let prefix = "GET " in
     if String.length data >= String.length prefix then
       c.mode <- (if String.sub data 0 (String.length prefix) = prefix then Http else Ndjson)
-    else if not (String.starts_with ~prefix:data prefix) then c.mode <- Ndjson
-  | Ndjson | Http -> ());
-  match c.mode with Http -> handle_http c | Ndjson -> process_lines t c | Sniff -> ()
+    else if not (String.starts_with ~prefix:data prefix) then c.mode <- Ndjson;
+    match c.mode with
+    | Http -> handle_http c
+    | Ndjson ->
+      Buffer.clear c.inbuf;
+      process_lines t session c data
+    | Sniff -> ())
 
-let on_readable t c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
+let on_readable t session buf c =
+  match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 -> c.eof <- true
-  | n ->
-    Buffer.add_subbytes c.inbuf buf 0 n;
-    process_input t c
+  | n -> process_input t session c (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> c.broken <- true
+
+(* [Unix.select] fails outright on a descriptor at or above FD_SETSIZE
+   (or a closed one), whatever else it was given. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error ((EINVAL | EBADF), _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* Over the cap: one typed line, then close.  Input already sent is
+   read first, so the close sends no reset that could discard the
+   line. *)
+let refuse fd =
+  let line =
+    Protocol.error_response ~id:Json.Null ~code:"overloaded"
+      ~message:(Err.format ~scope:"serve" "connection limit reached (%d)" max_connections)
+    ^ "\n"
+  in
+  (try
+     ignore (Unix.write_substring fd line 0 (String.length line));
+     let b = Bytes.create 4096 in
+     let rec drain k = if k > 0 && Unix.read fd b 0 4096 > 0 then drain (k - 1) in
+     drain 16
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let loop t () =
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 32 in
   let by_fd : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 32 in
   let next_cid = ref 0 in
+  let buf = Bytes.create 65536 in
+  (* The loop's own session: cache stages only, so it never allocates a
+     DP table. *)
+  let session =
+    Option.map
+      (fun cache -> Engine.create ~model:t.cfg.model ~num_domains:1 ~seed:t.cfg.seed ~cache ())
+      t.cfg.cache
+  in
   let drain_wake () =
     let b = Bytes.create 64 in
     let rec go () = if Unix.read t.wake_r b 0 64 > 0 then go () in
@@ -554,26 +664,31 @@ let loop t () =
       match Unix.accept t.listen_fd with
       | fd, _ ->
         Unix.set_nonblock fd;
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        incr next_cid;
-        let c =
-          {
-            fd;
-            cid = !next_cid;
-            inbuf = Buffer.create 256;
-            outq = Queue.create ();
-            pending = "";
-            poff = 0;
-            mode = Sniff;
-            inflight = 0;
-            eof = false;
-            closing = false;
-            broken = false;
-          }
-        in
-        Hashtbl.replace conns c.cid c;
-        Hashtbl.replace by_fd fd c;
-        Metrics.incr t.c_conns;
+        if Hashtbl.length conns >= max_connections || not (selectable fd) then refuse fd
+        else begin
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+          incr next_cid;
+          let c =
+            {
+              fd;
+              cid = !next_cid;
+              inbuf = Buffer.create 16;
+              frame = Protocol.empty_frame;
+              outq = Queue.create ();
+              pending = "";
+              poff = 0;
+              out_bytes = 0;
+              mode = Sniff;
+              inflight = 0;
+              eof = false;
+              closing = false;
+              broken = false;
+            }
+          in
+          Hashtbl.replace conns c.cid c;
+          Hashtbl.replace by_fd fd c;
+          Metrics.incr t.c_conns
+        end;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) -> ()
       | exception Unix.Unix_error _ -> ()
@@ -590,8 +705,7 @@ let loop t () =
            match Hashtbl.find_opt conns cid with
            | Some c ->
              c.inflight <- c.inflight - 1;
-             Queue.push (line ^ "\n") c.outq;
-             try_flush c
+             push_out c (line ^ "\n")
            | None -> ())
   in
   let finished () =
@@ -624,11 +738,19 @@ let loop t () =
         (if draining then []
          else
            t.listen_fd
-           :: Hashtbl.fold (fun _ c acc -> if c.eof || c.broken then acc else c.fd :: acc) conns [])
+           :: Hashtbl.fold
+                (fun _ c acc -> if c.eof || c.broken || backlogged c then acc else c.fd :: acc)
+                conns [])
       in
       let wrs = Hashtbl.fold (fun _ c acc -> if has_output c then c.fd :: acc else acc) conns [] in
       let rs, ws, _ =
-        try Unix.select rds wrs [] 0.2 with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+        try Unix.select rds wrs [] 0.2 with
+        | Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+        | Unix.Unix_error _ ->
+          (* One unselectable descriptor fails the whole call: drop the
+             connections that own one and carry on. *)
+          Hashtbl.iter (fun _ c -> if not (selectable c.fd) then c.broken <- true) conns;
+          ([], [], [])
       in
       if List.mem t.wake_r rs then drain_wake ();
       transfer_out ();
@@ -636,7 +758,7 @@ let loop t () =
       List.iter
         (fun fd ->
           if fd <> t.wake_r && fd <> t.listen_fd then
-            match Hashtbl.find_opt by_fd fd with Some c -> on_readable t c | None -> ())
+            match Hashtbl.find_opt by_fd fd with Some c -> on_readable t session buf c | None -> ())
         rs;
       List.iter
         (fun fd -> match Hashtbl.find_opt by_fd fd with Some c -> try_flush c | None -> ())
@@ -645,7 +767,7 @@ let loop t () =
       run ()
     end
   in
-  run ();
+  Fun.protect ~finally:(fun () -> Option.iter Engine.close session) run;
   Mutex.lock t.lock;
   t.poison <- true;
   Condition.broadcast t.work_cond;
@@ -698,7 +820,8 @@ let start (cfg : config) =
         poison = false;
         tstats = Hashtbl.create 8;
         h_latency =
-          Metrics.histogram ~help:"Request latency, enqueue to response" "blitz_serve_request_seconds";
+          Metrics.histogram ~help:"Request latency, admission to response"
+            "blitz_serve_request_seconds";
         g_queue = Metrics.gauge ~help:"Jobs waiting for a worker" "blitz_serve_queue_depth";
         c_conns = Metrics.counter ~help:"Accepted connections" "blitz_serve_connections_total";
         c_decode_errors =
@@ -715,6 +838,9 @@ let start (cfg : config) =
         c_overload =
           Metrics.counter ~help:"Requests refused on a full work queue"
             "blitz_serve_overload_total";
+        c_loop_hits =
+          Metrics.counter ~help:"Requests answered from the plan cache on the event-loop domain"
+            "blitz_serve_loop_hits_total";
         loop_d = None;
         worker_ds = [];
       }

@@ -2,14 +2,27 @@
     [Unix.select] event loop, stdlib only.
 
     One domain owns the event loop — accepting connections, framing
-    newline-delimited requests, decoding them ({!Protocol}), admitting
-    them through the tenant's {!Quota} bucket, and writing responses.
-    [workers] further domains each own one {!Blitz_engine.Engine}
-    session (all sharing the server's plan cache) and drain a bounded
-    work queue, running every query through {!Blitz_guard.Guard} under
-    a per-request [Budget] built from the tenant's limits, with the
-    tenant name as [cache_tag] so the shared cache stays partitioned
-    per tenant.
+    newline-delimited requests ({!Protocol.frame}), decoding them
+    ({!Protocol}), admitting them through the tenant's {!Quota} bucket,
+    and writing responses.  [workers] further domains each own one
+    {!Blitz_engine.Engine} session (all sharing the server's plan
+    cache) and drain a bounded work queue, running queries through
+    {!Blitz_guard.Guard} under a per-request [Budget] built from the
+    tenant's limits, with the tenant name as [cache_tag] so the shared
+    cache stays partitioned per tenant.
+
+    {b Cache hits are answered on the loop domain.}  The loop owns a
+    cache-only [Engine] session on the same cache.  For an admitted
+    optimize/explain request it runs the Guard's cache stage
+    ({!Blitz_guard.Guard.lookup}) itself when the server has a cache,
+    the query has at most [Dp_table.max_relations] relations (the most
+    a cacheable tier plans, so nothing larger can hit) and the
+    connection has no request in flight.  A hit is rendered and written
+    at once — no queue, no worker wake, no wake-pipe write — and counted
+    in [blitz_serve_loop_hits_total]; a miss is queued already
+    prepared, so the worker goes straight to the solve stage.  Either
+    way each request makes exactly one cache lookup.  Inline hits never
+    pass through [max_queue] and are never shed ([shed: false]).
 
     {b Overload sheds through the cascade, not the floor.}  When a
     worker dequeues a job and finds [shed_queue] or more requests still
@@ -22,15 +35,24 @@
     (memory protection, default 4096) answers [overloaded] without
     optimizing.
 
+    {b Bounded connections.}  At most {!max_connections} connections
+    are kept; one more is accepted, sent a typed [overloaded] line and
+    closed.  A connection whose unwritten replies exceed
+    [Protocol.max_line_bytes] is not read again until they drain, so a
+    client that pipelines requests and never reads its replies stalls
+    itself, not the server.
+
     The same listening socket answers Prometheus scrapes: a connection
     whose first bytes are [GET ] is treated as HTTP/1.0, and
     [GET /metrics] returns [Blitz_obs.Metrics.to_prometheus] —
-    request counters, latency histograms, queue depth, shed and quota
-    counters — then closes.
+    request counters, latency histograms, queue depth, shed, quota and
+    loop-hit counters — then closes.
 
-    Responses to loop-answered requests (health, stats, quota and
-    decode errors) can overtake in-flight optimize responses on the
-    same connection; the [id] field is the correlator.  A single-worker
+    Responses to health, stats, quota and decode errors are written as
+    soon as the line is read, so they can overtake in-flight optimize
+    responses on the same connection; the [id] field is the
+    correlator.  A cache hit is answered inline only when nothing is in
+    flight on its connection, so it never overtakes; a single-worker
     server answers optimize requests in arrival order. *)
 
 module Cost_model = Blitz_cost.Cost_model
@@ -79,6 +101,12 @@ val config :
     engine default (kdnl), [cache] to a fresh 4 MiB
     {!Plan_cache.create}.  Raises [Invalid_argument] on non-positive
     [workers], [shed_queue], [shed_deadline_ms], or [max_queue]. *)
+
+val max_connections : int
+(** Open client connections the server keeps (1000).  Each must fit
+    under [Unix.select]'s FD_SETSIZE (1024); a connection beyond the
+    cap, or whose descriptor does not fit, is accepted, sent one
+    [overloaded] error line and closed. *)
 
 type t
 

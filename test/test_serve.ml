@@ -130,6 +130,63 @@ let test_decode_mutation_qcheck =
          | Ok _ -> true
          | Error rej -> Result.is_ok (Json.of_string (Protocol.rejected_response rej))))
 
+(* Framing: the events of a byte stream do not depend on how the
+   network splits it into reads.  Streams mix short lines (with stray
+   '\r' and blank lines) and long runs at the line limit's edge, so
+   the over-length rejection is exercised both within one read and
+   across many. *)
+let frame_all chunks =
+  let events, _ =
+    List.fold_left
+      (fun (acc, f) chunk ->
+        let ev, f = Protocol.frame f chunk in
+        (List.rev_append ev acc, f))
+      ([], Protocol.empty_frame) chunks
+  in
+  List.rev events
+
+(* The framing spec over the whole stream at once. *)
+let frame_spec s =
+  let max = Protocol.max_line_bytes in
+  let strip l =
+    let n = String.length l in
+    if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | [ tail ] -> List.rev (if String.length tail > max then Protocol.Overlong :: acc else acc)
+    | l :: rest ->
+      if String.length l > max then List.rev (Protocol.Overlong :: acc)
+      else go (Protocol.Line (strip l) :: acc) rest
+  in
+  go [] (String.split_on_char '\n' s)
+
+let test_frame_split_invariant_qcheck =
+  let max = Protocol.max_line_bytes in
+  let segment =
+    QCheck2.Gen.(
+      frequency
+        [
+          (12, string_size ~gen:(oneofl [ 'a'; '{'; ' '; '\r'; '\n' ]) (0 -- 24));
+          (1, map (fun d -> String.make (max + d) 'x') (-2 -- 2));
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      pair (map (String.concat "") (list_size (0 -- 8) segment)) (list_size (0 -- 12) (0 -- 4096)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"framing is invariant under read splits" gen
+       (fun (s, cuts) ->
+         let n = String.length s in
+         let cuts = List.sort_uniq compare (List.map (fun c -> c * (n + 1) / 4097) cuts) in
+         let rec chunks prev = function
+           | [] -> [ String.sub s prev (n - prev) ]
+           | c :: rest -> String.sub s prev (c - prev) :: chunks c rest
+         in
+         let expected = frame_spec s in
+         frame_all [ s ] = expected && frame_all (chunks 0 cuts) = expected))
+
 (* ---- quota ---- *)
 
 let test_quota_bucket () =
@@ -342,6 +399,230 @@ let test_malformed_line_keeps_connection () =
           expect_bool "healthy afterwards" [ "ok" ] r2 true;
           Alcotest.(check string) "status ok" "ok" (expect_string [ "result"; "status" ] r2)))
 
+let health_line = {|{"blitz":1,"id":0,"method":"health"}|}
+
+let cache_stat c field =
+  match get_field [ "result"; "cache"; field ] (rpc c {|{"blitz":1,"id":99,"method":"stats"}|}) with
+  | Some (Json.Int k) -> k
+  | _ -> Alcotest.failf "stats: cache.%s missing" field
+
+let expect_float path v =
+  match get_field path v with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "field %s missing or not a number" (String.concat "." path)
+
+let test_inline_hit_on_loop () =
+  let loop_hits = Blitz_obs.Metrics.counter "blitz_serve_loop_hits_total" in
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let hits0 = Blitz_obs.Metrics.value loop_hits in
+          let r1 = rpc c (inline_query ~id:1 ~tenant:"default") in
+          let r2 = rpc c (inline_query ~id:2 ~tenant:"default") in
+          expect_bool "cold" [ "result"; "from_cache" ] r1 false;
+          expect_bool "warm" [ "result"; "from_cache" ] r2 true;
+          Alcotest.(check string) "same plan"
+            (expect_string [ "result"; "plan" ] r1)
+            (expect_string [ "result"; "plan" ] r2);
+          Alcotest.(check int64) "same cost bits"
+            (Int64.bits_of_float (expect_float [ "result"; "cost" ] r1))
+            (Int64.bits_of_float (expect_float [ "result"; "cost" ] r2));
+          (* One lookup per request: the miss probed the exact and the
+             thresholded key once each, the hit the exact key.  A second
+             lookup on the worker would double both counts. *)
+          Alcotest.(check int) "cache hits" 1 (cache_stat c "hits");
+          Alcotest.(check int) "cache misses" 2 (cache_stat c "misses");
+          Alcotest.(check int) "answered on the loop" 1
+            (Blitz_obs.Metrics.value loop_hits - hits0)))
+
+let test_pipelined_miss_then_hit_in_order () =
+  with_server (Server.config ~port:0 ~workers:1 ()) (fun port ->
+      let ((ic, oc) as c) = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          ignore (rpc c (inline_query ~id:1 ~tenant:"default"));
+          (* A slow miss, then a hit, in one write: the hit must wait
+             for the miss rather than overtake it. *)
+          output_string oc
+            ({|{"blitz":1,"id":2,"method":"optimize","params":{"n":14,"topology":"clique"}}|}
+           ^ "\n" ^ inline_query ~id:3 ~tenant:"default" ^ "\n");
+          flush oc;
+          let next () = Blitz_util.Err.get (Json.of_string (input_line ic)) in
+          let a = next () in
+          let b = next () in
+          Alcotest.(check bool) "miss answered first" true (Json.member "id" a = Some (Json.Int 2));
+          Alcotest.(check bool) "hit answered second" true (Json.member "id" b = Some (Json.Int 3));
+          expect_bool "miss" [ "result"; "from_cache" ] a false;
+          expect_bool "hit" [ "result"; "from_cache" ] b true))
+
+let test_quota_precedes_inline_hit () =
+  let tenants = Blitz_util.Err.get (Tenant.parse_spec "acme:burst=1") in
+  with_server (Server.config ~port:0 ~tenants ()) (fun port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          expect_bool "first served" [ "ok" ] (rpc c (inline_query ~id:1 ~tenant:"acme")) true;
+          let r2 = rpc c (inline_query ~id:2 ~tenant:"acme") in
+          Alcotest.(check string) "cached query still over quota" "quota_exhausted"
+            (expect_string [ "error"; "code" ] r2);
+          Alcotest.(check int) "the refused request never reached the cache" 0
+            (cache_stat c "hits")))
+
+(* Read what a refused connection was sent, up to EOF. *)
+let drain_fd fd =
+  let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ECONNRESET), _, _) -> ()
+  in
+  go ();
+  Buffer.contents b
+
+(* Flood the server listening on [port] with more connections than its
+   cap.  [exact] says the refusals are exactly the connections over
+   the cap: true for a standalone server, whose descriptors all fit
+   under FD_SETSIZE; an in-process server shares the descriptor table
+   with this flood, so it also refuses the connections whose
+   descriptors do not fit. *)
+let check_connection_cap ~exact port =
+  let first = connect port in
+  Fun.protect ~finally:(fun () -> close_client first) (fun () ->
+      expect_bool "healthy before" [ "ok" ] (rpc first health_line) true;
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      let flood = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !flood)
+        (fun () ->
+          let wanted = Server.max_connections + 100 in
+          (try
+             for _ = 1 to wanted do
+               let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+               flood := fd :: !flood;
+               Unix.connect fd addr
+             done
+           with Unix.Unix_error ((EMFILE | ENFILE), _, _) -> Alcotest.skip ());
+          List.iter Unix.set_nonblock !flood;
+          (* Every connection over the cap gets one typed line, then
+             EOF; poll until at least that many have. *)
+          let over = wanted + 1 - Server.max_connections in
+          let refused = Hashtbl.create 256 in
+          let deadline = Unix.gettimeofday () +. 20. in
+          while Hashtbl.length refused < over && Unix.gettimeofday () < deadline do
+            List.iter
+              (fun fd ->
+                if not (Hashtbl.mem refused fd) then
+                  match drain_fd fd with "" -> () | got -> Hashtbl.replace refused fd got)
+              !flood;
+            Unix.sleepf 0.05
+          done;
+          if exact then Alcotest.(check int) "connections refused" over (Hashtbl.length refused)
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "%d connections refused" (Hashtbl.length refused))
+              true
+              (Hashtbl.length refused >= over);
+          Hashtbl.iter
+            (fun _ got ->
+              match String.split_on_char '\n' got with
+              | [ line; "" ] ->
+                let v = Blitz_util.Err.get (Json.of_string line) in
+                Alcotest.(check string) "typed refusal" "overloaded"
+                  (expect_string [ "error"; "code" ] v)
+              | _ -> Alcotest.failf "refused connection got %S" got)
+            refused;
+          expect_bool "health answered over the cap" [ "ok" ] (rpc first health_line) true);
+      (* With the flood gone, new connections are served again. *)
+      let again = connect port in
+      Fun.protect ~finally:(fun () -> close_client again) (fun () ->
+          expect_bool "health on a new connection" [ "ok" ] (rpc again health_line) true))
+
+let test_connection_cap_refuses_typed () =
+  with_server (Server.config ~port:0 ()) (check_connection_cap ~exact:false)
+
+(* [blitz serve] as its own process, built next to this test binary. *)
+let with_server_process f =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/blitz.exe" in
+  let port_file = Filename.temp_file "blitz-serve" ".port" in
+  Sys.remove port_file;
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) (fun () ->
+        Unix.create_process exe
+          [| exe; "serve"; "--port"; "0"; "--port-file"; port_file; "--workers"; "1" |]
+          null null null)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      try Sys.remove port_file with Sys_error _ -> ())
+    (fun () ->
+      let rec port k =
+        match In_channel.with_open_text port_file In_channel.input_all with
+        | s when String.trim s <> "" -> int_of_string (String.trim s)
+        | _ | (exception Sys_error _) ->
+          if k = 0 then Alcotest.fail "blitz serve wrote no port file";
+          Unix.sleepf 0.05;
+          port (k - 1)
+      in
+      f (port 200))
+
+let test_connection_cap_standalone () = with_server_process (check_connection_cap ~exact:true)
+
+let test_nonreading_client_backpressure () =
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          ignore (rpc c (inline_query ~id:0 ~tenant:"default"));
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () ->
+              (* Small kernel buffers on the client side, so the server
+                 meets a full socket after a few replies. *)
+              Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+              Unix.setsockopt_int fd Unix.SO_SNDBUF 4096;
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              Unix.set_nonblock fd;
+              (* Pipeline cache hits and never read.  A server that keeps
+                 reading drains every write; one that applies
+                 backpressure leaves the client blocked. *)
+              let limit = 100_000 in
+              let sent = ref 0 and stalled = ref false in
+              while (not !stalled) && !sent < limit do
+                let line = inline_query ~id:(!sent + 1) ~tenant:"default" ^ "\n" in
+                let off = ref 0 in
+                while (not !stalled) && !off < String.length line do
+                  match Unix.write_substring fd line !off (String.length line - !off) with
+                  | n -> off := !off + n
+                  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
+                    match Unix.select [] [ fd ] [] 2.0 with
+                    | _, [], _ -> stalled := true
+                    | _ -> ())
+                done;
+                if !off = String.length line then incr sent
+              done;
+              Alcotest.(check bool)
+                (Printf.sprintf "writes blocked (after %d requests)" !sent)
+                true !stalled;
+              expect_bool "other connections still served" [ "ok" ] (rpc c health_line) true;
+              (* Reading resumes the flow: every complete request is
+                 answered, in order. *)
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              Unix.clear_nonblock fd;
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+              let ic = Unix.in_channel_of_descr fd in
+              for i = 1 to !sent do
+                match input_line ic with
+                | exception End_of_file -> Alcotest.failf "reply %d never arrived" i
+                | line ->
+                  let v = Blitz_util.Err.get (Json.of_string line) in
+                  if Json.member "id" v <> Some (Json.Int i) then
+                    Alcotest.failf "reply %d out of order: %s" i line
+              done)))
+
 let suite =
   [
     Alcotest.test_case "decode: optimize with inline stats" `Quick test_decode_optimize;
@@ -350,6 +631,7 @@ let suite =
     Alcotest.test_case "encode: response shapes" `Quick test_response_encoding;
     test_decode_total_qcheck;
     test_decode_mutation_qcheck;
+    test_frame_split_invariant_qcheck;
     Alcotest.test_case "quota: token bucket refill" `Quick test_quota_bucket;
     Alcotest.test_case "quota: zero rps never refills" `Quick test_quota_zero_rps;
     Alcotest.test_case "tenant: spec parsing" `Quick test_tenant_spec;
@@ -363,4 +645,16 @@ let suite =
       test_overload_sheds_with_provenance;
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
+    Alcotest.test_case "server: a cache hit is answered on the loop" `Quick
+      test_inline_hit_on_loop;
+    Alcotest.test_case "server: a pipelined hit waits for an earlier miss" `Quick
+      test_pipelined_miss_then_hit_in_order;
+    Alcotest.test_case "server: quota is charged before an inline hit" `Quick
+      test_quota_precedes_inline_hit;
+    Alcotest.test_case "server: connections over the cap get a typed refusal" `Quick
+      test_connection_cap_refuses_typed;
+    Alcotest.test_case "server: a standalone server refuses exactly past its cap" `Quick
+      test_connection_cap_standalone;
+    Alcotest.test_case "server: a non-reading client is not read" `Quick
+      test_nonreading_client_backpressure;
   ]
