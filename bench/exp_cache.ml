@@ -1,6 +1,6 @@
 (* Experiment "cache": the plan-cache acceptance gate.
 
-   Three claims from the cache design, held to numbers:
+   Two claims from the cache design, held to numbers:
 
    1. Bit-identity (the exp_obs protocol): a cache hit — including a
       hit on a renamed/permuted resubmission, answered by rebasing the
@@ -14,12 +14,6 @@
       n = 10..12 (the gate).  Interleaved best-of-rounds timing, so
       CPU-frequency drift penalizes both configurations alike.
 
-   3. Warm-started thresholded runs: on an exact miss whose join-graph
-      shape is known (cardinalities jittered up to 5%, selectivities
-      unchanged), seeding the Section 6.4 threshold from the shape
-      tier's best-known cost must cut the aggregate split-loop
-      iterations against cold greedy-seeded runs of the same queries.
-
    `bench cache --json BENCH_cache.json` refreshes the committed
    acceptance artifact. *)
 
@@ -32,7 +26,6 @@ module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Plan_cache = Blitz_cache.Plan_cache
 module Plan = Blitz_plan.Plan
-module Counters = Blitz_core.Counters
 module Rng = Blitz_util.Rng
 module Json = Blitz_util.Json
 
@@ -204,96 +197,16 @@ let throughput_row ~model ~repeats ~min_total ~min_runs ~rounds n =
   let qps s = float_of_int size /. s in
   (qps plain_s, qps cached_s, cached_s /. plain_s, plain_s /. cached_s)
 
-(* ---- part 3: warm-started thresholded runs ---- *)
-
-(* Jitter every cardinality up by at most 5%: the exact fingerprint
-   misses (different cards) but the shape key — selectivities and
-   topology only — still matches the base query's, so the cache can
-   seed the threshold driver.  Selectivities are untouched. *)
-let jitter_problem rng (p : Registry.problem) =
-  let cards = Catalog.cards p.Registry.catalog in
-  let cards = Array.map (fun c -> c *. (1.0 +. (0.05 *. Rng.float rng 1.0))) cards in
-  match p.Registry.graph with
-  | Some g -> Registry.problem ~graph:g (Catalog.of_cards cards)
-  | None -> Registry.problem (Catalog.of_cards cards)
-
-let sum_counters outcomes =
-  List.fold_left
-    (fun (iters, skips, passes) (o : Registry.outcome) ->
-      match o.Registry.counters with
-      | Some c ->
-        (iters + c.Counters.loop_iters, skips + c.Counters.threshold_skips,
-         passes + c.Counters.passes)
-      | None -> (iters, skips, passes))
-    (0, 0, 0) outcomes
-
-let warm_start ~n ~model =
-  let rng = Rng.create ~seed:271828 in
-  (* Topologies where the greedy bound — the cold threshold seed — sits
-     well above the optimum, so a shape-derived seed has room to win;
-     measured ratios at n=12 range from ~1.5x (cycle) to ~400x (clique). *)
-  let bases =
-    List.concat_map
-      (fun topology ->
-        List.map
-          (fun mean_card ->
-            let spec =
-              Workload.spec ~n ~topology ~model:Cost_model.kdnl ~mean_card ~variability:0.5
-            in
-            let catalog, graph = Workload.problem spec in
-            Registry.problem ~graph catalog)
-          [ 100.0; 1000.0; 10000.0 ])
-      [ Topology.Clique; Topology.Cycle_plus 1 ]
-  in
-  let variants = List.concat_map (fun b -> List.init 4 (fun _ -> jitter_problem rng b)) bases in
-  let cache = Plan_cache.create () in
-  let warm_outcomes =
-    Engine.with_session ~model ~cache (fun s ->
-        (* Prime the shape tier: one cold thresholded run per base. *)
-        List.iter (fun b -> ignore (Engine.optimize ~optimizer:"thresholded" s b)) bases;
-        List.map
-          (fun v ->
-            let o = Engine.optimize ~optimizer:"thresholded" s v in
-            { o with Registry.counters = Option.map Counters.copy o.Registry.counters })
-          variants)
-  in
-  (* The banded ensemble answers a jittered lookup before the plain
-     cost table does, so warm seeds land in either counter. *)
-  let stats = Plan_cache.stats cache in
-  let shape_hits = stats.Plan_cache.shape_hits + stats.Plan_cache.band_hits in
-  let cold_outcomes =
-    Engine.with_session ~model (fun s ->
-        List.map
-          (fun v ->
-            let o = Engine.optimize ~optimizer:"thresholded" s v in
-            { o with Registry.counters = Option.map Counters.copy o.Registry.counters })
-          variants)
-  in
-  (* Warm-started or not, the threshold driver's escalation-plus-rescue
-     contract promises the true optimum: hold it to bit-identity. *)
-  List.iteri
-    (fun i (warm, cold) ->
-      if not (same_cost warm.Registry.cost cold.Registry.cost) then
-        failwith
-          (Printf.sprintf "warm-start variant %d: cost %.17g <> cold %.17g" i
-             warm.Registry.cost cold.Registry.cost);
-      if not (Plan.equal (plan_of warm) (plan_of cold)) then
-        failwith (Printf.sprintf "warm-start variant %d: plan differs from cold run" i))
-    (List.combine warm_outcomes cold_outcomes);
-  let warm = sum_counters warm_outcomes and cold = sum_counters cold_outcomes in
-  (List.length variants, shape_hits, warm, cold)
-
 (* ---- driver ---- *)
 
 let speedup_gate = 5.0
 
 let run () =
-  Bench_config.header "Plan cache: bit-identity, repeated-workload speedup, warm-starts";
+  Bench_config.header "Plan cache: bit-identity, repeated-workload speedup";
   let model = Cost_model.kdnl in
   let fast = Bench_config.fast in
   let ns_ident = if fast then [ 8; 10 ] else [ 8; 10; 12 ] in
   let ns_tput = if fast then [ 10 ] else [ 10; 11; 12 ] in
-  let n_warm = if fast then 10 else 12 in
   let repeats = 8 in
   let min_total = if fast then 0.05 else 0.4 in
   let rounds = if fast then 3 else 7 in
@@ -347,37 +260,8 @@ let run () =
     ~header:[| "n"; "plain (q/s)"; "cached (q/s)"; "speedup"; "gate >=5x" |]
     (Array.of_list rows);
 
-  let variants, shape_hits, (warm_iters, warm_skips, warm_passes), (cold_iters, cold_skips, cold_passes)
-      =
-    warm_start ~n:n_warm ~model
-  in
-  let reduction = 100.0 *. (1.0 -. (float_of_int warm_iters /. float_of_int cold_iters)) in
-  Printf.printf
-    "\nwarm-started thresholded runs at n=%d: %d jittered variants, %d shape-tier seeds (banded or cost-only)\n"
-    n_warm variants shape_hits;
-  Printf.printf "  cold (greedy-seeded): %d split-loop iters, %d threshold skips, %d passes\n"
-    cold_iters cold_skips cold_passes;
-  Printf.printf "  warm (shape-seeded):  %d split-loop iters, %d threshold skips, %d passes\n"
-    warm_iters warm_skips warm_passes;
-  Printf.printf "  split-loop reduction: %.1f%%\n" reduction;
-  let warm_pass = warm_iters < cold_iters && shape_hits > 0 in
-  if not warm_pass then all_pass := false;
-  Bench_json.emit ~experiment:"cache"
-    [
-      ("check", Json.String "warm_start");
-      ("n", Json.Int n_warm);
-      ("variants", Json.Int variants);
-      ("shape_hits", Json.Int shape_hits);
-      ("cold_loop_iters", Json.Int cold_iters);
-      ("warm_loop_iters", Json.Int warm_iters);
-      ("cold_threshold_skips", Json.Int cold_skips);
-      ("warm_threshold_skips", Json.Int warm_skips);
-      ("reduction_pct", Json.Float reduction);
-      ("pass", Json.Bool warm_pass);
-    ];
-
   Printf.printf "\nplans verified bit-identical to cold runs before all timing (would fail loudly)\n";
-  if !all_pass then Printf.printf "gate: PASS (bit-identity, >=5x speedup, warm-start reduction)\n"
+  if !all_pass then Printf.printf "gate: PASS (bit-identity, >=5x speedup)\n"
   else begin
     Printf.printf "gate: FAIL\n";
     exit 1

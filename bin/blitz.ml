@@ -248,11 +248,8 @@ let print_cache_line cache =
   | None -> ()
   | Some c ->
     let s = Plan_cache.stats c in
-    Printf.printf
-      "cache:      %d hit(s) (%d rebased), %d miss(es), %d insertion(s), %d shape seed(s), %d \
-       band seed(s)\n"
+    Printf.printf "cache:      %d hit(s) (%d rebased), %d miss(es), %d insertion(s)\n"
       s.Plan_cache.hits s.Plan_cache.rebases s.Plan_cache.misses s.Plan_cache.insertions
-      s.Plan_cache.shape_hits s.Plan_cache.band_hits
 
 (* ---- optimize ---- *)
 
@@ -1037,14 +1034,14 @@ let optimizers_cmd =
   let run () =
     let entries = Registry.all () in
     let yn b = if b then "yes" else "-" in
-    Printf.printf "%-22s %-5s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" "name" "max_n" "exact"
-      "cache" "tree" "conn" "par" "dexempt" "sfree" "mw";
+    Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" "name" "max_n" "exact" "tree"
+      "conn" "par" "dexempt" "sfree" "mw";
     List.iter
       (fun (e : Registry.entry) ->
         let c = e.Registry.caps in
-        Printf.printf "%-22s %-5s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" e.Registry.name
+        Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" e.Registry.name
           (match c.Registry.max_n with Some n -> string_of_int n | None -> "-")
-          (yn c.Registry.exact) (yn c.Registry.cacheable) (yn c.Registry.tree_only)
+          (yn c.Registry.exact) (yn c.Registry.tree_only)
           (yn c.Registry.connected_only) (yn c.Registry.parallelizable)
           (yn c.Registry.deadline_exempt) (yn c.Registry.stats_free) (yn c.Registry.multiway))
       entries;

@@ -3,8 +3,7 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 
-(* FNV-ish avalanche step.  Everything below hashes through this one
-   function so the exact/shape keys stay consistent with each other. *)
+(* FNV-ish avalanche step; everything below hashes through it. *)
 let mix h x =
   let h = h lxor x in
   let h = h * 0x100000001b3 in
@@ -17,12 +16,8 @@ type scratch = {
   (* WL keys, caller index space; [_next] is the double buffer. *)
   mutable keys : int array;
   mutable keys_next : int array;
-  mutable skeys : int array;  (* cardinality-free (shape) keys *)
-  mutable skeys_next : int array;
   mutable perm : int array;  (* canonical position -> caller index *)
   mutable inv : int array;  (* caller index -> canonical position *)
-  mutable sperm : int array;  (* shape-canonical position -> caller index *)
-  mutable sinv : int array;  (* caller index -> shape-canonical position *)
   mutable deg : int array;
   mutable cards : float array;  (* canonical order *)
   (* canonical edges, (i < j) lexicographic in canonical positions *)
@@ -31,9 +26,7 @@ type scratch = {
   mutable edges_sel : float array;
   mutable edge_count : int;
   mutable hash : int;
-  mutable shape_hash : int;
   mutable md : int;  (* model digest folded into the last [compute] *)
-  mutable residual_ties : bool;
 }
 
 let create_scratch () =
@@ -41,12 +34,8 @@ let create_scratch () =
     n = 0;
     keys = [||];
     keys_next = [||];
-    skeys = [||];
-    skeys_next = [||];
     perm = [||];
     inv = [||];
-    sperm = [||];
-    sinv = [||];
     deg = [||];
     cards = [||];
     edges_i = [||];
@@ -54,9 +43,7 @@ let create_scratch () =
     edges_sel = [||];
     edge_count = 0;
     hash = 0;
-    shape_hash = 0;
     md = 0;
-    residual_ties = false;
   }
 
 let grow_int a len = if Array.length a >= len then a else Array.make len 0
@@ -66,12 +53,8 @@ let ensure_capacity s n =
   let ne = n * (n - 1) / 2 in
   s.keys <- grow_int s.keys n;
   s.keys_next <- grow_int s.keys_next n;
-  s.skeys <- grow_int s.skeys n;
-  s.skeys_next <- grow_int s.skeys_next n;
   s.perm <- grow_int s.perm n;
   s.inv <- grow_int s.inv n;
-  s.sperm <- grow_int s.sperm n;
-  s.sinv <- grow_int s.sinv n;
   s.deg <- grow_int s.deg n;
   s.cards <- grow_float s.cards n;
   s.edges_i <- grow_int s.edges_i ne;
@@ -118,7 +101,6 @@ let sort_order order n cmp =
   done
 
 let seed_full = 0x1e3779b97f4a7c15 (* 63-bit truncations of the usual constants *)
-let seed_shape = 0x517cc1b727220a95
 let seed_edge = 0x2545f4914f6cdd1d
 
 let compute s ~model_digest:md catalog graph =
@@ -136,8 +118,7 @@ let compute s ~model_digest:md catalog graph =
   done;
   (* Seed keys with the vertex-local signature... *)
   for i = 0 to n - 1 do
-    s.keys.(i) <- mix (mix seed_full (float_bits (Catalog.card catalog i))) s.deg.(i);
-    s.skeys.(i) <- mix seed_shape s.deg.(i)
+    s.keys.(i) <- mix (mix seed_full (float_bits (Catalog.card catalog i))) s.deg.(i)
   done;
   (* ...then refine: each round folds the commutative sum of every
      neighbor's (selectivity, key) into the vertex key, so after n
@@ -145,24 +126,19 @@ let compute s ~model_digest:md catalog graph =
      an ordered fold) is what makes the rounds labeling-invariant. *)
   for _round = 1 to n do
     for i = 0 to n - 1 do
-      let acc = ref 0 and sacc = ref 0 in
+      let acc = ref 0 in
       for j = 0 to n - 1 do
-        if j <> i && has i j then begin
-          let sb = float_bits (sel i j) in
-          acc := !acc + mix (mix seed_edge sb) s.keys.(j);
-          sacc := !sacc + mix (mix seed_edge sb) s.skeys.(j)
-        end
+        if j <> i && has i j then
+          acc := !acc + mix (mix seed_edge (float_bits (sel i j))) s.keys.(j)
       done;
-      s.keys_next.(i) <- mix s.keys.(i) !acc;
-      s.skeys_next.(i) <- mix s.skeys.(i) !sacc
+      s.keys_next.(i) <- mix s.keys.(i) !acc
     done;
     for i = 0 to n - 1 do
-      s.keys.(i) <- s.keys_next.(i);
-      s.skeys.(i) <- s.skeys_next.(i)
+      s.keys.(i) <- s.keys_next.(i)
     done
   done;
   (* Canonical order: cardinality, then degree, then refined key;
-     original index as the last resort (recorded as a residual tie). *)
+     original index as the last resort. *)
   let card i = Catalog.card catalog i in
   let cmp_full a b =
     let c = Float.compare (card a) (card b) in
@@ -174,28 +150,12 @@ let compute s ~model_digest:md catalog graph =
         let c = compare s.keys.(a) s.keys.(b) in
         if c <> 0 then c else compare a b
   in
-  let cmp_shape a b =
-    let c = compare s.deg.(a) s.deg.(b) in
-    if c <> 0 then c
-    else
-      let c = compare s.skeys.(a) s.skeys.(b) in
-      if c <> 0 then c else compare a b
-  in
   for i = 0 to n - 1 do
-    s.perm.(i) <- i;
-    s.sperm.(i) <- i
+    s.perm.(i) <- i
   done;
   sort_order s.perm n cmp_full;
-  sort_order s.sperm n cmp_shape;
-  s.residual_ties <- false;
-  for c = 0 to n - 2 do
-    let a = s.perm.(c) and b = s.perm.(c + 1) in
-    if Float.equal (card a) (card b) && s.deg.(a) = s.deg.(b) && s.keys.(a) = s.keys.(b)
-    then s.residual_ties <- true
-  done;
   for c = 0 to n - 1 do
     s.inv.(s.perm.(c)) <- c;
-    s.sinv.(s.sperm.(c)) <- c;
     s.cards.(c) <- card s.perm.(c)
   done;
   (* Canonical edge list: enumerate canonical-position pairs in (i, j)
@@ -221,36 +181,9 @@ let compute s ~model_digest:md catalog graph =
     h := mix (mix (mix !h s.edges_i.(e)) s.edges_j.(e)) (float_bits s.edges_sel.(e))
   done;
   s.hash <- !h;
-  s.md <- md;
-  (* Shape hash: same construction minus the cardinalities, over the
-     shape-canonical labeling. *)
-  let sh = ref (mix (mix seed_shape md) n) in
-  for ci = 0 to n - 1 do
-    for cj = ci + 1 to n - 1 do
-      let a = s.sperm.(ci) and b = s.sperm.(cj) in
-      if has a b then sh := mix (mix (mix !sh ci) cj) (float_bits (sel a b))
-    done
-  done;
-  s.shape_hash <- !sh
+  s.md <- md
 
 let hash s = s.hash
-let shape_hash s = s.shape_hash
-let residual_ties s = s.residual_ties
-let n s = s.n
-
-(* One decade of total predicate selectivity per band.  The sum runs
-   over the full-canonical edge list, so a renamed resubmission of the
-   same problem sums bit-identical floats in bit-identical order — the
-   band is rename-invariant.  Shape-equal problems with different
-   cardinalities may order the sum differently, which can flip the
-   quantized band only at a decade boundary; a band mismatch is merely
-   an ensemble miss, never a wrong plan. *)
-let selectivity_band s =
-  let sum = ref 0.0 in
-  for e = 0 to s.edge_count - 1 do
-    sum := !sum +. Float.log10 s.edges_sel.(e)
-  done;
-  int_of_float (Float.floor !sum)
 
 type frozen = {
   f_n : int;
@@ -274,8 +207,6 @@ let freeze s =
     f_edges_sel = Array.sub s.edges_sel 0 s.edge_count;
     f_perm = Array.sub s.perm 0 s.n;
   }
-
-let frozen_hash f = f.f_hash
 
 let frozen_bytes f =
   let word = Sys.word_size / 8 in
@@ -309,5 +240,3 @@ let same_labeling s f =
 
 let canonize_plan s plan = Plan.map_leaves (fun i -> s.inv.(i)) plan
 let rebase_plan s plan = Plan.map_leaves (fun c -> s.perm.(c)) plan
-let shape_canonize_plan s plan = Plan.map_leaves (fun i -> s.sinv.(i)) plan
-let shape_rebase_plan s plan = Plan.map_leaves (fun c -> s.sperm.(c)) plan

@@ -21,12 +21,6 @@
     Equality of canonical forms always certifies isomorphism, so a hit
     can never pair a query with another query's plan.
 
-    A second, coarser key — the {e shape} — drops the cardinalities and
-    canonicalizes the selectivity structure alone (Simpli-Squared's
-    observation that join-graph shape carries most of the ordering
-    signal).  Shape near-hits seed the Section 6.4 plan-cost threshold
-    on an exact miss.
-
     All computation runs inside a caller-owned {!scratch} (one per
     engine session), so fingerprinting a query in a hot
     [optimize_many] batch allocates nothing; {!freeze} copies the
@@ -65,36 +59,12 @@ val hash : scratch -> int
     are resolved by {!matches}' full structural equality, never by
     trusting the hash. *)
 
-val shape_hash : scratch -> int
-(** Hash of the cardinality-free canonical form (edges + model digest
-    only): the warm-start tier's key. *)
-
-val n : scratch -> int
-(** Relation count of the problem last computed into the scratch. *)
-
-val selectivity_band : scratch -> int
-(** Which selectivity regime the problem sits in: the floor of the sum
-    of [log10] selectivities over the canonical edge list — one decade
-    of total predicate selectivity per band ("One Join Order Does Not
-    Fit All": a single plan per shape is fragile across regimes, so
-    the cache's shape tier keeps an ensemble keyed by this).
-    Rename-invariant: a renamed resubmission sums bit-identical floats
-    in the same canonical order.  [0] for a predicate-free problem. *)
-
-val residual_ties : scratch -> bool
-(** Whether refinement left indistinguishable relations (tie-break fell
-    back to original index): renamed resubmissions of such problems may
-    miss; identical resubmissions always hit. *)
-
 type frozen
 (** A heap copy of a scratch's canonical form, safe to store. *)
 
 val freeze : scratch -> frozen
 (** Copy the scratch's canonical form to the heap (the scratch remains
     reusable). *)
-
-val frozen_hash : frozen -> int
-(** The {!hash} captured at freeze time. *)
 
 val frozen_bytes : frozen -> int
 (** Heap footprint estimate of the frozen form, for cache accounting. *)
@@ -117,13 +87,3 @@ val canonize_plan : scratch -> Plan.t -> Plan.t
 val rebase_plan : scratch -> Plan.t -> Plan.t
 (** Re-index a canonical-space plan into the caller's numbering (for
     serving a hit).  [rebase_plan s (canonize_plan s p) = p]. *)
-
-val shape_canonize_plan : scratch -> Plan.t -> Plan.t
-(** Re-index a plan into {e shape}-canonical space (cardinality-free
-    labeling) — the coordinate system of the banded shape-tier
-    ensemble, stable across shape-equal problems whose cardinalities
-    differ. *)
-
-val shape_rebase_plan : scratch -> Plan.t -> Plan.t
-(** Inverse of {!shape_canonize_plan} for the current scratch:
-    [shape_rebase_plan s (shape_canonize_plan s p) = p]. *)

@@ -120,9 +120,8 @@ let record_outcome t (o : Registry.outcome) =
    entry promises exactness (a cached entry must mean the same thing no
    matter which query stored it), and only when the caller supplied no
    explicit threshold (an explicit threshold makes the outcome
-   caller-dependent).  A hit skips the optimizer entirely; a miss for
-   ["thresholded"] may still warm-start from the shape tier before
-   running cold, and a completed cold optimum is stored. *)
+   caller-dependent).  A hit skips the optimizer entirely; a miss runs
+   it and stores the completed optimum. *)
 
 let fingerprint t m (p : Registry.problem) =
   let digest = if m == t.model then t.digest else Fingerprint.model_digest m in
@@ -187,25 +186,24 @@ let hit_outcome ctr (h : Plan_cache.hit) =
       Some (if h.Plan_cache.rebased then "plan cache: hit (rebased)" else "plan cache: hit");
   }
 
-let append_note extra (o : Registry.outcome) =
-  let note = match o.Registry.note with None -> extra | Some n -> n ^ "; " ^ extra in
-  { o with Registry.note = Some note }
-
 (* Run one problem through the entry, going through the cache when the
-   session has one.  The scratch already holds this problem's canonical
-   form on the miss path, so the store needs no recompute.  [cold_ctx],
-   when given, is a prebuilt ctx to run cold (unthresholded) passes
-   with, letting batches share one ctx across queries. *)
-let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(multiway = false)
-    ?cache_tag ?cold_ctx ~ctr problem =
+   session has one and the entry is exact.  The scratch already holds
+   this problem's canonical form on the miss path, so the store needs no
+   recompute.  [batch_ctx], when given, is a prebuilt ctx to run with,
+   letting batches share one ctx across queries. *)
+let run_entry t (entry : Registry.entry) ?interrupt ?threshold ?(multiway = false) ?cache_tag
+    ?batch_ctx ~ctr problem =
   let mw = multiway && entry.Registry.caps.Registry.multiway in
-  let cold () =
-    match cold_ctx with
-    | Some c -> c
-    | None -> ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr t
+  let run () =
+    let c =
+      match batch_ctx with
+      | Some c -> c
+      | None -> ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr t
+    in
+    entry.Registry.optimize c problem
   in
   match t.cache with
-  | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold -> (
+  | Some c when entry.Registry.caps.Registry.exact && Option.is_none threshold -> (
     let key = cache_key ?cache_tag ~multiway entry in
     let hit =
       Obs.Metrics.time m_cache_lookup (fun () ->
@@ -215,55 +213,10 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
     match hit with
     | Some h -> hit_outcome ctr h
     | None ->
-        (* Warm-start ladder for the thresholded driver.  Best seed: a
-           banded-ensemble plan for this shape and selectivity regime,
-           re-costed under the {e current} catalog — a genuine upper
-           bound, so a first-pass threshold a whisker above it cannot
-           fail for numeric reasons, and the rescue pass still
-           guarantees the true optimum if the seed misleads.  Fallback:
-           the shape tier's best-known-cost threshold.  Either way the
-           cold result is what gets stored, so warmth never changes
-           what the cache learns. *)
-        let banded_bound () =
-          match Plan_cache.shape_seed c t.scratch with
-          | None -> None
-          | Some (plan, _stored_cost) ->
-              let n = Catalog.n problem.Registry.catalog in
-              let structurally_ok =
-                Plan.leaf_count plan = n
-                && (match Plan.validate ~n plan with Ok () -> true | Error _ -> false)
-              in
-              if not structurally_ok then None
-              else
-                let g =
-                  match problem.Registry.graph with
-                  | Some g -> g
-                  | None -> Join_graph.no_predicates ~n
-                in
-                let ub = Plan.cost t.model problem.Registry.catalog g plan in
-                if Float.is_finite ub && ub > 0.0 then Some (ub *. (1.0 +. 1e-9)) else None
-        in
-        let warm =
-          if String.equal optimizer "thresholded" then
-            match banded_bound () with
-            | Some w -> Some (w, "plan cache: banded warm-start")
-            | None -> (
-                match Plan_cache.shape_threshold c t.scratch with
-                | Some w -> Some (w, "plan cache: warm-start")
-                | None -> None)
-          else None
-        in
-        let o =
-          match warm with
-          | None -> entry.Registry.optimize (cold ()) problem
-          | Some (w, _) ->
-              entry.Registry.optimize
-                (ctx ?interrupt ~threshold:w ~multiway:mw ~counters:ctr t)
-                problem
-        in
+        let o = run () in
         store t c key o;
-        (match warm with Some (_, note) -> append_note note o | None -> o))
-  | _ -> entry.Registry.optimize (cold ()) problem
+        o)
+  | _ -> run ()
 
 let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";
@@ -273,7 +226,7 @@ let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t
   let o =
     Obs.span "engine.optimize" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
         Obs.Metrics.time m_latency (fun () ->
-            run_entry t entry ~optimizer ?interrupt ?threshold ?multiway ?cache_tag ~ctr problem))
+            run_entry t entry ?interrupt ?threshold ?multiway ?cache_tag ~ctr problem))
   in
   record_outcome t o;
   o
@@ -285,7 +238,7 @@ let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t probl
      sessions), and the optimizer itself. *)
   let entry = Registry.find_exn optimizer in
   let ctr = Arena.counters t.arena in
-  let cold_ctx = ctx ?interrupt ?multiway ~counters:ctr t in
+  let batch_ctx = ctx ?interrupt ?multiway ~counters:ctr t in
   let completed = ref [] in
   Obs.span "engine.optimize_many" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
       try
@@ -294,7 +247,7 @@ let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t probl
             Counters.reset ctr;
             let o =
               Obs.Metrics.time m_latency (fun () ->
-                  run_entry t entry ~optimizer ?interrupt ?multiway ?cache_tag ~cold_ctx ~ctr p)
+                  run_entry t entry ?interrupt ?multiway ?cache_tag ~batch_ctx ~ctr p)
             in
             record_outcome t o;
             (* The table is a view of the arena's buffer, overwritten by the

@@ -16,8 +16,7 @@
     callers and stores optima, for {!optimize} and for the Guard
     ({!cache_lookup}/{!cache_record}).  Exact optimizers consult the
     cache before running (a hit skips the DP, its plan rebased to the
-    caller's numbering) and store completed optima; ["thresholded"]
-    warm-starts from the shape tier on an exact miss.  Explicit
+    caller's numbering) and store completed optima.  Explicit
     thresholds and inexact optimizers bypass the cache.  A cache may be
     shared across sessions (it is domain-safe); omitting it at
     {!create} opts out.  One preallocated fingerprint workspace per

@@ -69,7 +69,6 @@ type caps = {
   deadline_exempt : bool;
   stats_free : bool;
   connected_only : bool;
-  cacheable : bool;
   multiway : bool;
 }
 
@@ -113,7 +112,6 @@ let dp_caps =
     deadline_exempt = false;
     stats_free = false;
     connected_only = false;
-    cacheable = true;
     multiway = false;
   }
 
@@ -127,7 +125,6 @@ let tablefree_caps =
     deadline_exempt = false;
     stats_free = false;
     connected_only = false;
-    cacheable = false;
     multiway = false;
   }
 
@@ -390,7 +387,6 @@ let () =
             dp_caps with
             parallelizable = false;
             exact = false;
-            cacheable = false;
             connected_only = true;
           };
         optimize = run_dpsize ~cartesian:false;
@@ -398,13 +394,13 @@ let () =
       {
         name = "leftdeep";
         summary = "System-R-style left-deep DP, products allowed";
-        caps = { dp_caps with parallelizable = false; exact = false; cacheable = false };
+        caps = { dp_caps with parallelizable = false; exact = false };
         optimize = run_leftdeep ~policy:B.Leftdeep.Allowed;
       };
       {
         name = "leftdeep-deferred";
         summary = "left-deep DP with Cartesian products deferred to the end";
-        caps = { dp_caps with parallelizable = false; exact = false; cacheable = false };
+        caps = { dp_caps with parallelizable = false; exact = false };
         optimize = run_leftdeep ~policy:B.Leftdeep.Deferred;
       };
       {
@@ -441,7 +437,6 @@ let () =
             table_bytes = Some (fun ~n -> Dpccp.estimate_bytes ~n);
             parallelizable = false;
             exact = false;
-            cacheable = false;
             connected_only = true;
             multiway = true;
           };
@@ -457,7 +452,6 @@ let () =
             table_bytes = Some (fun ~n -> Dpconv.estimate_bytes ~n);
             parallelizable = false;
             exact = false;
-            cacheable = false;
           };
         optimize = run_dpconv;
       };

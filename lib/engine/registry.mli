@@ -100,7 +100,15 @@ type caps = {
       (** Estimated table footprint before allocation, for memory
           ceilings; [None] for table-free methods. *)
   parallelizable : bool;  (** Honors [ctx.pool]/[ctx.num_domains]. *)
-  exact : bool;  (** Guaranteed optimal when it returns a plan. *)
+  exact : bool;
+      (** Guaranteed optimal over the {e full} bushy plan space,
+          Cartesian products included, when it returns a plan.  Only
+          such results may enter the cross-query plan cache: a cached
+          plan is replayed under the same fingerprint regardless of
+          which optimizer later serves the query, so product-free or
+          left-deep optima ([dpsize-no-products], [dpccp], [leftdeep])
+          are not [exact] — they would silently degrade later exact
+          lookups. *)
   deadline_exempt : bool;
       (** Cheap enough to run even on an expired budget (greedy — the
           cascade's terminal guarantee). *)
@@ -114,13 +122,6 @@ type caps = {
           join graph the method cannot produce a complete plan at all
           ([dpccp], [dpsize-no-products]), so dispatch is refused
           upfront by {!eligible}. *)
-  cacheable : bool;
-      (** Results may enter the cross-query plan cache.  Stricter than
-          [exact]: a cached plan is replayed under the same fingerprint
-          regardless of which optimizer later serves the query, so only
-          methods whose plan is optimal over the {e full} plan space
-          qualify — product-free or left-deep optima silently degrade
-          later exact lookups. *)
   multiway : bool;
       (** Honors [ctx.multiway]: the method can emit [Plan.Multiway]
           nodes ([exact], [thresholded], [dpccp]).  Callers that cannot

@@ -112,8 +112,8 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
         match caps.Registry.table_bytes with
         | None -> None
         | Some bytes ->
-          (* A resident plan cache shares the memory ceiling with the
-             DP table: what the cache holds, the table cannot claim. *)
+          (* [cache_bytes] is memory the caller budgets beside the
+             table under the same ceiling. *)
           let needed_bytes =
             cache_bytes
             + (match arena with
@@ -188,13 +188,13 @@ let record_win tier =
          ~labels:[ ("tier", tier_name tier) ]
          "blitz_degrade_wins_total")
 
-let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool ?cache_bytes
-    ?multiway ~budget model catalog graph =
+let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool ?multiway
+    ~budget model catalog graph =
   let t_start = Budget.elapsed_ms budget in
   let rec go attempts = function
     | [] -> Error (List.rev attempts)
     | tier :: rest -> (
-      match eligibility ?arena ?cache_bytes ~budget tier catalog graph with
+      match eligibility ?arena ~budget tier catalog graph with
       | Some reason ->
         record_attempt tier "skipped" (skip_message reason);
         go ({ tier; status = Skipped reason; elapsed_ms = 0.0 } :: attempts) rest

@@ -117,9 +117,11 @@ val eligibility :
     eligible (deadline-exempt).
     With [arena] the memory ceiling charges the session's would-be
     resident high-water mark ({!Arena.bytes_after}) rather than the
-    per-call table size; [cache_bytes] (a resident plan-cache footprint,
-    default 0) is added to the charge so cache memory counts under the
-    same ceiling as the DP table. *)
+    per-call table size; [cache_bytes] (default 0) is added to the
+    charge for callers that budget other memory under the same ceiling.
+    {!optimize} and the guarded driver pass none: a plan cache is
+    bounded by its own [max_bytes], and a shared one would otherwise
+    let one tenant's plans push another's requests off the DP tiers. *)
 
 val run_tier :
   ?num_domains:int ->
@@ -150,7 +152,6 @@ val optimize :
   ?num_domains:int ->
   ?arena:Arena.t ->
   ?pool:Pool.t ->
-  ?cache_bytes:int ->
   ?multiway:bool ->
   budget:Budget.t ->
   Cost_model.t ->
@@ -160,7 +161,6 @@ val optimize :
 (** Walk the cascade under the (already armed) budget.  [Error attempts]
     — possible only with a custom [cascade] that omits {!Greedy} — still
     reports why every tier declined.  [num_domains] is forwarded to the
-    DP tiers (see {!run_tier}); [cache_bytes] to {!eligibility};
-    [multiway] to every tier's ctx — capable tiers (exact, thresholded,
+    DP tiers (see {!run_tier}); [multiway] to every tier's ctx — capable tiers (exact, thresholded,
     dpccp) plan n-ary nodes, the rest ignore it, so the cascade stays
     valid top to bottom. *)

@@ -108,14 +108,13 @@ let solve_armed ~budget ~cascade ~seed ~num_domains ~session p =
   in
   (* A session plugs its pooled DP table and spawned domain pool into
      the cascade; its domain count is the default when the caller gave
-     none.  Plans and costs are bit-identical with or without it. *)
+     none.  Plans and costs are bit-identical with or without it.  The
+     session's plan cache is not charged against the table ceiling: it
+     is bounded by its own [max_bytes], and it may be shared, so one
+     tenant's resident plans would otherwise push another tenant's
+     requests off the exact tier. *)
   let arena = Option.map Engine.arena session in
   let pool = Option.bind session Engine.pool in
-  let cache_bytes =
-    match Option.bind session Engine.cache with
-    | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
-    | None -> None
-  in
   let num_domains =
     match (num_domains, session) with
     | (Some _ as d), _ -> d
@@ -123,8 +122,7 @@ let solve_armed ~budget ~cascade ~seed ~num_domains ~session p =
     | None, None -> None
   in
   match
-    Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget model
-      catalog graph
+    Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ~budget model catalog graph
   with
   | Ok (plan, provenance) ->
     let winner = provenance.Degrade.winner in

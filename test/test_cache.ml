@@ -8,8 +8,8 @@
    the cached run's cost and whose plan is the cached plan under the
    permutation.  The unit tests pin down the mechanics that property
    rides on: fingerprint sensitivity (what must differ), the LRU's
-   byte budget and eviction order, the shape tier's warm-start seeds,
-   and the guard's clean-path-only participation.
+   byte budget and eviction order, and the guard's clean-path-only
+   participation.
 
    BLITZ_TEST_DOMAINS=N adds N to the domain axis, as in
    test_parallel.ml. *)
@@ -83,32 +83,26 @@ let base_graph =
 let test_fingerprint_sensitivity () =
   let model = Cost_model.kdnl in
   let s0 = fingerprint ~model base_catalog (Some base_graph) in
-  (* Renaming: identical full hash, identical shape hash. *)
+  (* Renaming: identical hash. *)
   let perm = [| 3; 0; 5; 2; 4; 1 |] in
   let p' = permute_problem perm (Registry.problem ~graph:base_graph base_catalog) in
   let s1 = fingerprint ~model p'.Registry.catalog p'.Registry.graph in
   Alcotest.(check bool) "renaming preserves hash" true (Fingerprint.hash s0 = Fingerprint.hash s1);
-  Alcotest.(check bool) "renaming preserves shape hash" true
-    (Fingerprint.shape_hash s0 = Fingerprint.shape_hash s1);
   Alcotest.(check bool) "renamed scratch matches frozen original" true
     (Fingerprint.matches s1 (Fingerprint.freeze s0));
-  (* A cardinality change: new exact fingerprint, same shape. *)
+  (* A cardinality change: new fingerprint. *)
   let cards = Catalog.cards base_catalog in
   cards.(2) <- cards.(2) *. 1.5;
   let s2 = fingerprint ~model (Catalog.of_cards cards) (Some base_graph) in
   Alcotest.(check bool) "card change breaks hash" false (Fingerprint.hash s0 = Fingerprint.hash s2);
-  Alcotest.(check bool) "card change keeps shape hash" true
-    (Fingerprint.shape_hash s0 = Fingerprint.shape_hash s2);
   Alcotest.(check bool) "card change defeats matches" false
     (Fingerprint.matches s2 (Fingerprint.freeze s0));
-  (* A selectivity change: both tiers miss. *)
+  (* A selectivity change: new fingerprint. *)
   let g2 =
     Join_graph.of_edges ~n:6 [ (0, 1, 0.1); (1, 2, 0.06); (2, 3, 0.2); (3, 4, 0.01); (1, 4, 0.5) ]
   in
   let s3 = fingerprint ~model base_catalog (Some g2) in
   Alcotest.(check bool) "sel change breaks hash" false (Fingerprint.hash s0 = Fingerprint.hash s3);
-  Alcotest.(check bool) "sel change breaks shape hash" false
-    (Fingerprint.shape_hash s0 = Fingerprint.shape_hash s3);
   (* A different cost model: different digest, different fingerprint. *)
   let s4 = fingerprint ~model:Cost_model.naive base_catalog (Some base_graph) in
   Alcotest.(check bool) "model change breaks hash" false
@@ -128,7 +122,6 @@ let test_fingerprint_qcheck_invariance =
          let s0 = fingerprint ~model:p.model p.catalog (Some p.graph) in
          let s1 = fingerprint ~model:p.model prob'.Registry.catalog prob'.Registry.graph in
          Fingerprint.hash s0 = Fingerprint.hash s1
-         && Fingerprint.shape_hash s0 = Fingerprint.shape_hash s1
          && Fingerprint.matches s1 (Fingerprint.freeze s0)
          && Fingerprint.matches s0 (Fingerprint.freeze s1)))
 
@@ -329,147 +322,31 @@ let test_optimizer_keys_are_distinct () =
   Alcotest.(check bool) "thresholded does not" true
     (Plan_cache.find cache s ~optimizer:"thresholded" = None)
 
-(* {1 The shape tier} *)
-
-let test_shape_threshold () =
-  let model = Cost_model.kdnl in
-  let cache = Plan_cache.create () in
-  let s = fingerprint ~model base_catalog (Some base_graph) in
-  Alcotest.(check bool) "empty cache has no seed" true (Plan_cache.shape_threshold cache s = None);
-  Plan_cache.store cache s ~optimizer:"thresholded" ~plan:(balanced_plan 6) ~cost:42.0 ~passes:1
-    ~final_threshold:infinity;
-  (* Same selectivity structure, different cardinalities: exact miss,
-     shape hit, seed = best cost x the fixed 2.0 slack. *)
-  let cards = Array.map (fun c -> c *. 1.03) (Catalog.cards base_catalog) in
-  let s' = fingerprint ~model (Catalog.of_cards cards) (Some base_graph) in
-  Alcotest.(check bool) "exact tier misses" true
-    (Plan_cache.find cache s' ~optimizer:"thresholded" = None);
-  (match Plan_cache.shape_threshold cache s' with
-  | Some seed ->
-    Alcotest.(check bool) "seed = cost x slack" true
-      (same_float seed (42.0 *. 2.0))
-  | None -> Alcotest.fail "shape tier missed");
-  Alcotest.(check int) "shape hit counted" 1 (Plan_cache.stats cache).Plan_cache.shape_hits
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-  scan 0
-
-let test_engine_warm_start () =
-  (* Through the engine: a thresholded run on a shape-hit miss is
-     warm-started from the banded ensemble (the stored plan re-costed
-     under the new statistics bounds the first pass), notes it, and
-     still returns the bit-identical optimum (the Section 6.4
-     escalation-plus-rescue contract). *)
-  let model = Cost_model.kdnl in
-  let rng = Rng.create ~seed:99 in
-  let catalog = random_catalog rng ~n:8 ~lo:10.0 ~hi:1e4 in
-  let graph = random_graph rng ~n:8 ~edge_prob:0.5 ~sel_lo:1e-3 ~sel_hi:1.0 in
-  let base = Registry.problem ~graph catalog in
-  let jittered =
-    Registry.problem ~graph
-      (Catalog.of_cards (Array.map (fun c -> c *. 1.02) (Catalog.cards catalog)))
-  in
-  let cache = Plan_cache.create () in
-  let warm =
-    Engine.with_session ~model ~cache (fun s ->
-        ignore (Engine.optimize ~optimizer:"thresholded" s base);
-        Engine.optimize ~optimizer:"thresholded" s jittered)
-  in
-  let cold = Engine.with_session ~model (fun s -> Engine.optimize ~optimizer:"thresholded" s jittered) in
-  (match warm.Registry.note with
-  | Some note ->
-    Alcotest.(check bool) "outcome notes the banded warm-start" true
-      (contains note "plan cache: banded warm-start")
-  | None -> Alcotest.fail "warm-started run carries no note");
-  Alcotest.(check int) "one band seed served" 1 (Plan_cache.stats cache).Plan_cache.band_hits;
-  Alcotest.(check bool) "warm-started cost bit-identical to cold" true
-    (same_float warm.Registry.cost cold.Registry.cost);
-  Alcotest.(check bool) "warm-started plan identical to cold" true
-    (Plan.equal (plan_of warm) (plan_of cold))
-
-(* {1 The banded ensemble} *)
-
-let test_banded_seed_roundtrip () =
-  (* Store under one catalog, seed a shape-equal problem with different
-     cardinalities: the ensemble returns a structurally valid plan for
-     the caller's labeling plus the STORING cost — which the consumer
-     must re-cost, and the engine does. *)
-  let model = Cost_model.kdnl in
-  let cache = Plan_cache.create () in
-  let s = fingerprint ~model base_catalog (Some base_graph) in
-  Alcotest.(check bool) "empty ensemble has no seed" true (Plan_cache.shape_seed cache s = None);
-  let stored_plan = balanced_plan 6 in
-  Plan_cache.store cache s ~optimizer:"thresholded"
-    ~plan:stored_plan ~cost:42.0 ~passes:1 ~final_threshold:infinity;
-  let cards = Array.map (fun c -> c *. 1.7) (Catalog.cards base_catalog) in
-  let jittered = Catalog.of_cards cards in
-  let s' = fingerprint ~model jittered (Some base_graph) in
-  (match Plan_cache.shape_seed cache s' with
-  | None -> Alcotest.fail "banded ensemble missed a shape-equal problem"
-  | Some (plan, cost) ->
-    Alcotest.(check bool) "stored cost returned verbatim" true (same_float cost 42.0);
-    Alcotest.(check bool) "seed plan valid for the caller" true
-      (match Plan.validate ~n:6 plan with Ok () -> true | Error _ -> false);
-    (* Same scratch labeling as the store: the seed is the stored plan. *)
-    (match Plan_cache.shape_seed cache s with
-    | Some (p, _) -> Alcotest.(check bool) "identity rebase returns the plan" true (Plan.equal p stored_plan)
-    | None -> Alcotest.fail "identity lookup missed"));
-  Alcotest.(check int) "band hits counted" 2 (Plan_cache.stats cache).Plan_cache.band_hits;
-  Plan_cache.clear cache;
-  Alcotest.(check bool) "clear drops the ensemble" true (Plan_cache.shape_seed cache s = None)
-
-let test_banded_keeps_cheapest_per_band () =
-  (* Two stores of the same shape and band: the ensemble keeps the
-     cheaper member. *)
-  let model = Cost_model.kdnl in
-  let cache = Plan_cache.create () in
-  let s = fingerprint ~model base_catalog (Some base_graph) in
-  Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:50.0 ~passes:1
-    ~final_threshold:infinity;
-  let cards = Array.map (fun c -> c *. 3.1) (Catalog.cards base_catalog) in
-  let s' = fingerprint ~model (Catalog.of_cards cards) (Some base_graph) in
-  Plan_cache.store cache s' ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:20.0 ~passes:1
-    ~final_threshold:infinity;
-  (match Plan_cache.shape_seed cache s with
-  | Some (_, cost) -> Alcotest.(check bool) "cheaper member wins" true (same_float cost 20.0)
-  | None -> Alcotest.fail "ensemble missed");
-  (* A worse later store must not displace it. *)
-  Plan_cache.store cache s ~optimizer:"dpsize" ~plan:(balanced_plan 6) ~cost:90.0 ~passes:1
-    ~final_threshold:infinity;
-  match Plan_cache.shape_seed cache s with
-  | Some (_, cost) -> Alcotest.(check bool) "worse store ignored" true (same_float cost 20.0)
-  | None -> Alcotest.fail "ensemble missed after refresh"
-
-let test_banded_warm_start_qcheck =
-  (* The headline safety property, ISSUE acceptance: a banded warm
-     start never changes the answer.  Random problem, random
-     cardinality jitter (shape-preserving), any domain count: the
-     warm-started thresholded run is bit-identical to a cold session
-     on the jittered problem. *)
+let test_cached_thresholded_qcheck =
+  (* A cache never changes the thresholded driver's answer.  Random
+     problem, random cardinality jitter, any domain count: the base
+     query (a miss), the jittered query (a miss) and the jittered query
+     again (a hit) through a cache session are bit-identical, cost and
+     plan, to the same three runs through a cacheless session. *)
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:15 ~name:"banded warm-starts are bit-identical to cold runs"
+    (QCheck2.Test.make ~count:15 ~name:"cached thresholded runs are bit-identical to cacheless runs"
        ~print:problem_print (problem_gen ~max_n:8) (fun p ->
          let rng = Rng.create ~seed:(p.seed + 31) in
          let jitter = Array.map (fun c -> c *. Rng.log_uniform rng ~lo:0.2 ~hi:5.0)
              (Catalog.cards p.catalog) in
          let base = Registry.problem ~graph:p.graph p.catalog in
          let jittered = Registry.problem ~graph:p.graph (Catalog.of_cards jitter) in
+         let runs s = List.map (Engine.optimize ~optimizer:"thresholded" s) [ base; jittered; jittered ] in
          List.for_all
            (fun num_domains ->
              let cache = Plan_cache.create () in
-             let warm =
-               Engine.with_session ~model:p.model ~num_domains ~cache (fun s ->
-                   ignore (Engine.optimize ~optimizer:"thresholded" s base);
-                   Engine.optimize ~optimizer:"thresholded" s jittered)
-             in
-             let cold =
-               Engine.with_session ~model:p.model ~num_domains (fun s ->
-                   Engine.optimize ~optimizer:"thresholded" s jittered)
-             in
-             same_float warm.Registry.cost cold.Registry.cost
-             && Plan.equal (plan_of warm) (plan_of cold))
+             let cached = Engine.with_session ~model:p.model ~num_domains ~cache runs in
+             let plain = Engine.with_session ~model:p.model ~num_domains runs in
+             let st = Plan_cache.stats cache in
+             st.Plan_cache.misses = 2 && st.Plan_cache.hits = 1
+             && List.for_all2
+                  (fun c o -> same_float c.Registry.cost o.Registry.cost && Plan.equal (plan_of c) (plan_of o))
+                  cached plain)
            domain_axis))
 
 (* {1 Guard and budget integration} *)
@@ -505,11 +382,12 @@ let test_guard_bypasses_on_repairs () =
   Alcotest.(check int) "nothing stored" 0 st.Plan_cache.insertions;
   Alcotest.(check int) "nothing looked up" 0 (st.Plan_cache.hits + st.Plan_cache.misses)
 
-(* The side tables live inside the byte budget.  Every store records a
-   shape seed and a band-ensemble plan keyed by the shape hash, which
-   includes selectivity bits; a stream of distinct-selectivity queries
+(* Everything the cache holds lives inside the byte budget: a stream of
+   distinct-selectivity queries, each stored as its own exact entry,
    must not grow the cache's heap past what [max_bytes] allows, and
-   [stats.bytes] must count what the side tables hold. *)
+   [stats.bytes] must count what the entries hold.  The cache once kept
+   per-query side tables beside its entries that leaked past the
+   budget; the name is kept so CI can select this test. *)
 let test_side_tables_bounded () =
   let model = Cost_model.kdnl in
   let n = 12 in
@@ -531,6 +409,42 @@ let test_side_tables_bounded () =
     (Printf.sprintf "heap %d bytes within 2 x max_bytes" heap_bytes)
     true
     (heap_bytes <= 2 * max_bytes)
+
+(* A shared cache is bounded by its own [max_bytes], not by a request's
+   DP-table ceiling.  Charging one tenant's resident plans against
+   another tenant's ceiling pushed the second tenant off the exact tier
+   onto hybrid, whose plans are not cached either. *)
+let test_tenant_plans_keep_exact_tier () =
+  let model = Cost_model.kdnl in
+  let cache = Plan_cache.create ~max_bytes:(4 * 1024 * 1024) () in
+  let ceiling = 1024 * 1024 in
+  let chain ~n k =
+    let cards = Array.init n (fun i -> float_of_int ((k * 31) + (i * 7) + 10)) in
+    (Catalog.of_cards cards, Join_graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1, 0.01))))
+  in
+  let tenant_b k =
+    let catalog, graph = chain ~n:8 k in
+    Engine.with_session ~model ~cache (fun session ->
+        Result.get_ok
+          (Guard.optimize ~budget:(Budget.create ~max_table_bytes:ceiling ()) ~session
+             ~cache_tag:"b" model catalog graph))
+  in
+  Alcotest.(check string) "b's first query wins exact" "exact"
+    (Degrade.tier_name (tenant_b 0).Guard.provenance.Degrade.winner);
+  (* Tenant a fills the shared cache with n = 12 optima. *)
+  Engine.with_session ~model ~cache (fun session ->
+      for k = 0 to 1199 do
+        let catalog, graph = chain ~n:12 k in
+        Engine.cache_record ~cache_tag:"a" session ~optimizer:"exact"
+          (Registry.problem ~graph catalog)
+          (Registry.basic ~plan:(Some (balanced_plan 12)) ~cost:(float_of_int k) ())
+      done);
+  Alcotest.(check bool) "a's plans alone exceed b's table ceiling" true
+    (Plan_cache.resident_bytes cache > ceiling);
+  let next = tenant_b 1 in
+  Alcotest.(check string) "b's next query still wins exact" "exact"
+    (Degrade.tier_name next.Guard.provenance.Degrade.winner);
+  Alcotest.(check bool) "and is cached" true (tenant_b 1).Guard.from_cache
 
 let test_eligibility_charges_cache_bytes () =
   (* Cache residency shares the table memory ceiling: the same budget
@@ -569,14 +483,11 @@ let suite =
     Alcotest.test_case "LRU recency refresh" `Quick test_lru_recency_refresh;
     Alcotest.test_case "duplicate store refreshes" `Quick test_duplicate_store_is_refresh;
     Alcotest.test_case "per-optimizer keys" `Quick test_optimizer_keys_are_distinct;
-    Alcotest.test_case "shape-tier threshold seeds" `Quick test_shape_threshold;
-    Alcotest.test_case "engine warm-start" `Quick test_engine_warm_start;
-    Alcotest.test_case "banded ensemble round-trip" `Quick test_banded_seed_roundtrip;
-    Alcotest.test_case "banded ensemble keeps the cheapest member" `Quick
-      test_banded_keeps_cheapest_per_band;
-    test_banded_warm_start_qcheck;
+    test_cached_thresholded_qcheck;
     Alcotest.test_case "guard serves clean-path hits" `Quick test_guard_serves_from_cache;
     Alcotest.test_case "guard bypasses on repairs" `Quick test_guard_bypasses_on_repairs;
+    Alcotest.test_case "guard: one tenant's plans keep another's exact tier" `Quick
+      test_tenant_plans_keep_exact_tier;
     Alcotest.test_case "eligibility charges cache bytes" `Quick test_eligibility_charges_cache_bytes;
     Alcotest.test_case "cacheless sessions opt out" `Quick test_sessions_without_cache_opt_out;
     Alcotest.test_case "side tables stay inside max_bytes" `Quick test_side_tables_bounded;
